@@ -14,6 +14,7 @@ from .construct import (
     k4_pair,
     scale_set,
     scale_zpair,
+    zpairs_of,
 )
 from .core import (
     MAX_MODULUS,
@@ -88,4 +89,5 @@ __all__ = [
     "ti_equivalent",
     "z_groups",
     "z_pair_count",
+    "zpairs_of",
 ]

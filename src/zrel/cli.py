@@ -16,17 +16,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from itertools import combinations
 from typing import Sequence
 
-from .construct import ZPair, classify_pair, inherit, k4_pair
+from .construct import ZPair, classify_pair, group_zpairs, k4_pair, scale_zpair, zpairs_of
 from .core import PitchClassSet, normalize_to_zero, set_from_composition, steps
 from .enumeration import (
     BudgetExceededError,
-    COMPOSITION_BUDGET,
     RealizationClass,
-    check_budget,
-    composition_count,
+    k_min_search,
     summary,
     z_groups,
 )
@@ -67,21 +66,19 @@ def _classification_row(pair: ZPair) -> dict:
 
 
 def _group_row(n: int, k: int, index: int, rc: RealizationClass) -> dict:
-    sets = [set_from_composition(c) for c in rc.realizations]
     members = [
         {
             "composition": list(comp.parts),
-            "set": list(pcs.elements),
+            "set": list(set_from_composition(comp).elements),
             "step_gcd": math.gcd(*comp.parts),
         }
-        for comp, pcs in zip(rc.realizations, sets)
+        for comp in rc.realizations
     ]
     pairs = [
-        {
-            "members": [i, j],
-            "classification": _classification_row(classify_pair(sets[i], sets[j])),
-        }
-        for i, j in combinations(range(len(sets)), 2)
+        {"members": [i, j], "classification": _classification_row(pair)}
+        for (i, j), pair in zip(
+            combinations(range(len(members)), 2), group_zpairs(rc)
+        )
     ]
     return {
         "index": index,
@@ -104,17 +101,7 @@ def cmd_table(args) -> tuple[dict, int]:
     if not 2 <= kmin <= kmax <= n:
         raise ValueError(f"need 2 <= kmin <= kmax <= {n}, got kmin={kmin}, kmax={kmax}")
     ks = range(kmin, kmax + 1)
-    check_budget(n, ks)
-    rows = [
-        {
-            "n": row.n,
-            "k": row.k,
-            "ti_classes": row.ti_classes,
-            "multisets": row.multisets,
-            "nonreconstructible": row.nonreconstructible,
-        }
-        for row in summary(n, ks, args.threads)
-    ]
+    rows = [asdict(row) for row in summary(n, ks, args.threads)]
     return _doc("table", {"n": n, "kmin": kmin, "kmax": kmax}, rows), 0
 
 
@@ -122,7 +109,6 @@ def cmd_zpairs(args) -> tuple[dict, int]:
     n, k = args.n, args.k
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= {n}, got k={k}")
-    check_budget(n, [k])
     rows = [
         _group_row(n, k, i, rc)
         for i, rc in enumerate(z_groups(n, k, args.threads), start=1)
@@ -132,40 +118,16 @@ def cmd_zpairs(args) -> tuple[dict, int]:
 
 def cmd_kmin(args) -> tuple[dict, int]:
     n = args.n
-    k_hi = n // 2 if args.kmax is None else args.kmax
-    if k_hi > n:
-        raise ValueError(f"kmax cannot exceed n={n}, got {k_hi}")
-    spent = 0
-    found = None
-    witness = None
-    searched_to = min(k_hi, 3)
-    for k in range(4, min(k_hi, n) + 1):
-        cost = composition_count(n, k)
-        if spent + cost > COMPOSITION_BUDGET:
-            searched = (
-                f"searched k=4..{k - 1} of 4..{k_hi}"
-                if k > 4
-                else f"nothing searched, k range 4..{k_hi}"
-            )
-            raise BudgetExceededError(
-                f"composition budget exhausted before k={k} ({searched}); "
-                "lower --kmax"
-            )
-        spent += cost
-        searched_to = k
-        groups = z_groups(n, k, args.threads)
-        if groups:
-            found = k
-            witness = _group_row(n, k, 1, groups[0])
-            break
+    found, searched_to, group = k_min_search(n, args.kmax, args.threads)
     rows = [
         {
             "n": n,
             "k_min": found,
             "k_max_searched": searched_to,
-            "witness": witness,
+            "witness": None if group is None else _group_row(n, found, 1, group),
         }
     ]
+    k_hi = n // 2 if args.kmax is None else args.kmax
     return _doc("kmin", {"n": n, "kmax": k_hi}, rows), 0
 
 
@@ -179,16 +141,9 @@ def cmd_scale(args) -> tuple[dict, int]:
         raise ValueError(f"scale factor must be >= 1, got {args.d}")
     if not 2 <= args.k <= args.base_n:
         raise ValueError(f"need 2 <= k <= {args.base_n}, got k={args.k}")
-    check_budget(args.base_n, [args.k])
-    if args.d == 1:
-        pairs = []
-        for group in z_groups(args.base_n, args.k, args.threads):
-            members = [set_from_composition(c) for c in group.realizations]
-            pairs.extend(
-                classify_pair(s1, s2) for s1, s2 in combinations(members, 2)
-            )
-    else:
-        pairs = inherit(args.base_n * args.d, args.base_n, args.k, args.threads)
+    pairs = [
+        scale_zpair(p, args.d) for p in zpairs_of(args.base_n, args.k, args.threads)
+    ]
     rows = [_pair_row(p) for p in pairs]
     params = {"base_n": args.base_n, "d": args.d, "k": args.k}
     return _doc("scale", params, rows), 0

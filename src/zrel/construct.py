@@ -23,7 +23,7 @@ from .core import (
     steps,
 )
 from .dihedral import ti_equivalent
-from .enumeration import z_groups
+from .enumeration import RealizationClass, z_groups
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,12 @@ class ZPair:
             if self.base.n * self.scale != self.n:
                 raise ValueError("base modulus times scale must equal the modulus")
             for mine, theirs in ((self.set1, self.base.set1), (self.set2, self.base.set2)):
-                rooted = normalize_to_zero(mine)
-                if any(e % self.scale for e in rooted.elements):
+                if any(e % self.scale for e in normalize_to_zero(mine).elements):
                     raise ValueError(
                         f"scale {self.scale} does not divide every step of "
                         f"{mine.elements}"
                     )
-                shrunk = PitchClassSet(
-                    self.base.n, tuple(e // self.scale for e in rooted.elements)
-                )
-                if not ti_equivalent(shrunk, theirs):
+                if not ti_equivalent(_downscale(mine, self.scale), theirs):
                     raise ValueError(
                         "dividing out the scale does not recover the base pair"
                     )
@@ -132,21 +128,23 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
     The candidate scale is the gcd g of all steps of both compositions: the
     pair is a d-scaling exactly for the divisors d of g, because steps are
     transposition-invariant and reversal merely permutes them.  Dividing out
-    the full g recovers the primitive pair the input scales up from.
+    the full g recovers the primitive pair the input scales up from.  The
+    Z-relation itself is checked once, by `ZPair`.
     """
     if set1.n != set2.n:
         raise ValueError("both sets must live in the same Z_n")
     mu = interval_multiset_brute(set1)
-    if mu != interval_multiset_brute(set2) or ti_equivalent(set1, set2):
-        raise ValueError(
-            f"{set1.elements} and {set2.elements} are not Z-related in Z_{set1.n}"
-        )
     c1 = steps(normalize_to_zero(set1))
     c2 = steps(normalize_to_zero(set2))
     g = math.gcd(*c1.parts, *c2.parts)
     if g == 1:
         return ZPair(set1, set2, mu)
-    base = classify_pair(_downscale(set1, g), _downscale(set2, g))
+    try:
+        base = classify_pair(_downscale(set1, g), _downscale(set2, g))
+    except ValueError:
+        # The base fails exactly when the input does: name the caller's sets.
+        ZPair(set1, set2, mu)
+        raise
     return ZPair(set1, set2, mu, g, base)
 
 
@@ -181,18 +179,22 @@ def four_m_family(q: int) -> ZPair:
     return k4_pair(4 * q, 1)
 
 
+def group_zpairs(group: RealizationClass) -> list[ZPair]:
+    """Every unordered pair of a Z-group's members, classified, in combinations order."""
+    members = [set_from_composition(c) for c in group.realizations]
+    return [classify_pair(s1, s2) for s1, s2 in combinations(members, 2)]
+
+
+def zpairs_of(m: int, k: int, workers: int = 1) -> list[ZPair]:
+    """Every Z-pair found by enumeration at (m, k), classified, in enumeration order."""
+    return [pair for group in z_groups(m, k, workers) for pair in group_zpairs(group)]
+
+
 def inherit(n: int, m: int, k: int, workers: int = 1) -> list[ZPair]:
     """Scale every Z-pair found by enumeration at (m, k) up to Z_n by n/m.
 
-    Returns one derived pair per unordered pair of members of each Z-group,
-    in the deterministic order the enumeration produces.
+    Returns one derived pair per pair of `zpairs_of(m, k)`, in its order.
     """
     if not isinstance(m, int) or isinstance(m, bool) or not 3 <= m < n or n % m != 0:
         raise ValueError(f"m must be a proper divisor of n with m >= 3, got m={m!r}, n={n}")
-    d = n // m
-    scaled = []
-    for group in z_groups(m, k, workers):
-        members = [set_from_composition(c) for c in group.realizations]
-        for s1, s2 in combinations(members, 2):
-            scaled.append(scale_zpair(classify_pair(s1, s2), d))
-    return scaled
+    return [scale_zpair(pair, n // m) for pair in zpairs_of(m, k, workers)]

@@ -112,18 +112,6 @@ def enumerate_compositions(n: int, k: int) -> Iterator[Composition]:
 # a canonical composition at all and are skipped outright.
 
 
-def _classes_for_first_part(task: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    n, k, s1 = task
-    kept = []
-    for rest in _raw_compositions(n - s1, k - 1):
-        if min(rest) < s1:
-            continue
-        parts = (s1, *rest)
-        if is_canonical_parts(parts):
-            kept.append(parts)
-    return kept
-
-
 def _groups_for_first_part(
     task: tuple[int, int, int]
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -138,11 +126,11 @@ def _groups_for_first_part(
     return groups
 
 
-def _run_tasks(worker, tasks, workers: int) -> list:
+def _run_tasks(tasks: list[tuple[int, int, int]], workers: int) -> list:
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(task) for task in tasks]
+            return list(pool.map(_groups_for_first_part, tasks))
+    return [_groups_for_first_part(task) for task in tasks]
 
 
 def _class_groups(
@@ -152,7 +140,7 @@ def _class_groups(
         return {(0,) * (n // 2): [(n,)]}
     tasks = [(n, k, s1) for s1 in range(1, n // k + 1)]
     merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for groups in _run_tasks(_groups_for_first_part, tasks, workers):
+    for groups in _run_tasks(tasks, workers):
         for key, comps in groups.items():
             merged.setdefault(key, []).extend(comps)
     return {key: sorted(comps) for key, comps in sorted(merged.items())}
@@ -163,15 +151,9 @@ def _class_groups(
 
 def enumerate_classes(n: int, k: int, workers: int = 1) -> list[Composition]:
     """One canonical representative per rotation/reversal class, sorted."""
-    check_modulus(n)
-    _check_k(n, k)
-    if k == 1:
-        return [Composition(n, (n,))]
-    tasks = [(n, k, s1) for s1 in range(1, n // k + 1)]
-    kept: list[tuple[int, ...]] = []
-    for chunk in _run_tasks(_classes_for_first_part, tasks, workers):
-        kept.extend(chunk)
-    return [Composition(n, parts) for parts in sorted(kept)]
+    return sorted(
+        comp for rc in realization_table(n, k, workers) for comp in rc.realizations
+    )
 
 
 def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass]:
@@ -183,6 +165,7 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     """
     check_modulus(n)
     _check_k(n, k)
+    check_budget(n, [k])
     groups = _class_groups(n, k, max(1, workers))
     return [
         RealizationClass(
@@ -199,7 +182,10 @@ def z_groups(n: int, k: int, workers: int = 1) -> list[RealizationClass]:
 
 
 def summary(n: int, ks: Iterable[int], workers: int = 1) -> list[SummaryRow]:
-    """Class/vector/Z counts for each requested cardinality."""
+    """Class/vector/Z counts per cardinality; the budget covers the whole range."""
+    check_modulus(n)
+    ks = list(ks)
+    check_budget(n, ks)
     rows = []
     for k in ks:
         table = realization_table(n, k, workers)
@@ -224,18 +210,40 @@ def z_pair_count(n: int, k: int, workers: int = 1) -> int:
     )
 
 
-def k_min(n: int, k_max: int | None = None, workers: int = 1) -> int | None:
-    """Smallest cardinality in [4, k_max] admitting a Z-pair, or None.
+def k_min_search(
+    n: int, k_max: int | None = None, workers: int = 1
+) -> tuple[int | None, int, RealizationClass | None]:
+    """(k_min or None, highest k searched, first Z-group at k_min or None).
 
     Cardinality 3 is never probed: a trichord's interval vector always
     determines it up to T/I.  The default bound k_max = n // 2 relies on the
     complement symmetry of the Z-relation (cardinalities k and n - k behave
     identically), which this tool assumes rather than verifies; pass an
-    explicit k_max to search further.
+    explicit k_max to search further.  All k searched share one budget.
     """
     check_modulus(n)
     hi = n // 2 if k_max is None else k_max
-    for k in range(4, min(hi, n) + 1):
-        if z_groups(n, k, workers):
-            return k
-    return None
+    if hi > n:
+        raise ValueError(f"kmax cannot exceed n={n}, got {hi}")
+    spent = 0
+    for k in range(4, hi + 1):
+        spent += composition_count(n, k)
+        if spent > COMPOSITION_BUDGET:
+            searched = (
+                f"searched k=4..{k - 1} of 4..{hi}"
+                if k > 4
+                else f"nothing searched, k range 4..{hi}"
+            )
+            raise BudgetExceededError(
+                f"composition budget exhausted before k={k} ({searched}); "
+                "lower --kmax"
+            )
+        groups = z_groups(n, k, workers)
+        if groups:
+            return k, k, groups[0]
+    return None, hi, None
+
+
+def k_min(n: int, k_max: int | None = None, workers: int = 1) -> int | None:
+    """Smallest cardinality in [4, k_max] admitting a Z-pair, or None."""
+    return k_min_search(n, k_max, workers)[0]

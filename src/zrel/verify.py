@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construct import k4_pair, scale_zpair, classify_pair
+from .construct import k4_pair, scale_zpair, zpairs_of
 from .core import PitchClassSet, dft_magnitudes, set_from_composition
 from .dihedral import ti_equivalent
-from .enumeration import summary, z_groups, z_pair_count
+from .enumeration import summary, z_groups
 
 DFT_TOLERANCE = 1e-9
 
@@ -62,7 +62,10 @@ def suite_z12(workers: int = 1) -> list[CheckResult]:
             _check(f"z12 table row k={row.k}", got == want, f"got {got}, want {want}")
         )
 
-    total = sum(z_pair_count(12, k, workers) for k in range(3, 10))
+    groups = {k: z_groups(12, k, workers) for k in range(3, 10)}
+    total = sum(
+        math.comb(rc.realization_number, 2) for gs in groups.values() for rc in gs
+    )
     results.append(
         _check("z12 pair total = 23", total == Z12_PAIR_TOTAL, f"got {total}")
     )
@@ -74,12 +77,11 @@ def suite_z12(workers: int = 1) -> list[CheckResult]:
     results.append(_check("z12 palindrome k <-> 12-k", palindrome))
 
     max_r = max(
-        (rc.realization_number for k in range(3, 10) for rc in z_groups(12, k, workers)),
-        default=0,
+        (rc.realization_number for gs in groups.values() for rc in gs), default=0
     )
     results.append(_check("z12 max group size = 2", max_r == 2, f"got {max_r}"))
 
-    groups4 = z_groups(12, 4, workers)
+    groups4 = groups[4]
     witness_ok = (
         len(groups4) == 1
         and tuple(c.parts for c in groups4[0].realizations) == Z12_K4_WITNESS
@@ -88,8 +90,8 @@ def suite_z12(workers: int = 1) -> list[CheckResult]:
     results.append(_check("z12 k=4 witness group", witness_ok))
 
     worst = 0.0
-    for k in range(3, 10):
-        for rc in z_groups(12, k, workers):
+    for gs in groups.values():
+        for rc in gs:
             spectra = [dft_magnitudes(set_from_composition(c)) for c in rc.realizations]
             for other in spectra[1:]:
                 worst = max(
@@ -128,14 +130,12 @@ def suite_z19(workers: int = 1) -> list[CheckResult]:
 
 def suite_scaling(workers: int = 1) -> list[CheckResult]:
     results = []
-    pairs = []
-    for m in range(3, 15):
-        for k in range(2, min(6, m) + 1):
-            for group in z_groups(m, k, workers):
-                members = [set_from_composition(c) for c in group.realizations]
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        pairs.append(classify_pair(members[i], members[j]))
+    pairs = [
+        pair
+        for m in range(3, 15)
+        for k in range(2, min(6, m) + 1)
+        for pair in zpairs_of(m, k, workers)
+    ]
     results.append(
         _check("scaling sweep found base pairs", bool(pairs), f"{len(pairs)} pairs")
     )

@@ -13,6 +13,7 @@ from zrel.construct import (
     k4_pair,
     scale_set,
     scale_zpair,
+    zpairs_of,
 )
 from zrel.core import PitchClassSet, interval_multiset_brute, set_from_composition
 from zrel.dihedral import ti_equivalent
@@ -221,6 +222,14 @@ def test_classify_rejects_non_z_related():
         classify_pair(PitchClassSet(12, (0, 1, 3, 7)), PitchClassSet(13, (0, 1, 3, 7)))
 
 
+def test_classify_rejects_equivalent_pair_with_common_step_factor():
+    # Steps (2, 4, 6) and (4, 2, 6) share the factor 2; the error must name
+    # the sets given, not their downscaled images in Z_6.
+    with pytest.raises(ValueError, match="not Z-related") as err:
+        classify_pair(PitchClassSet(12, (0, 2, 6)), PitchClassSet(12, (0, 4, 6)))
+    assert "(0, 2, 6)" in str(err.value)
+
+
 def test_classify_matches_brute_downscale_oracle():
     # classify's scale factor g must admit exactly the divisors d >= 2 of g
     # as downscale factors, verified against all dihedral images.
@@ -300,6 +309,13 @@ def test_inherit_z24_from_z12():
 
 def test_inherit_empty_from_z10():
     assert inherit(20, 10, 4) == []
+
+
+def test_zpairs_of_lists_each_group_pair_once_in_order():
+    for n, k in [(12, 4), (12, 6), (16, 5), (19, 6)]:
+        pairs = zpairs_of(n, k)
+        assert [(p.set1, p.set2) for p in pairs] == list(group_member_pairs(n, k))
+        assert [scale_zpair(p, 2) for p in pairs] == inherit(2 * n, n, k)
 
 
 def test_inherit_rejects_non_divisor():

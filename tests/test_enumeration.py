@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from zrel import enumeration
 from zrel.core import Composition, interval_multiset
 from zrel.dihedral import equivalent, is_canonical
 from zrel.enumeration import (
@@ -14,6 +15,7 @@ from zrel.enumeration import (
     enumerate_classes,
     enumerate_compositions,
     k_min,
+    k_min_search,
     realization_table,
     summary,
     z_groups,
@@ -64,6 +66,40 @@ def test_composition_stream_rejects_bad_k():
 @pytest.mark.parametrize("n,k,count", [(12, 3, 12), (12, 6, 50), (19, 5, 324)])
 def test_class_counts(n, k, count):
     assert len(enumerate_classes(n, k)) == count
+
+
+def _totient(d: int) -> int:
+    return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+
+def _bracelet_count(n: int, k: int) -> int:
+    """Binary bracelets of length n with k beads, by Burnside's lemma."""
+    rotations = sum(
+        _totient(d) * math.comb(n // d, k // d)
+        for d in range(1, math.gcd(n, k) + 1)
+        if math.gcd(n, k) % d == 0
+    )
+    if n % 2:  # every axis passes through one bead
+        reflections = n * math.comb((n - 1) // 2, k // 2)
+    elif k % 2:  # only axes through two beads fix a coloring, one bead set
+        reflections = n // 2 * 2 * math.comb((n - 2) // 2, (k - 1) // 2)
+    else:  # axes through two beads (both set or both clear), axes through edges
+        pairs = (n - 2) // 2
+        reflections = n // 2 * (
+            math.comb(pairs, k // 2) + math.comb(pairs, k // 2 - 1) + math.comb(n // 2, k // 2)
+        )
+    return (rotations + reflections) // (2 * n)
+
+
+def test_class_counts_match_bracelet_closed_form():
+    # T/I classes of k-subsets of Z_n are the fixed-density binary bracelets.
+    mismatches = [
+        (n, k)
+        for n in range(3, 19)
+        for k in range(1, n + 1)
+        if len(enumerate_classes(n, k)) != _bracelet_count(n, k)
+    ]
+    assert mismatches == []
 
 
 def test_classes_are_canonical_sorted_and_complete():
@@ -169,6 +205,14 @@ def test_k_min_values():
     assert k_min(6) is None  # searches k=4..3, i.e. nothing
 
 
+def test_k_min_search_reports_the_searched_range_and_witness():
+    assert k_min_search(12) == (4, 4, z_groups(12, 4)[0])
+    assert k_min_search(10, 4) == (None, 4, None)
+    assert k_min_search(12, 2) == (None, 2, None)
+    with pytest.raises(ValueError, match="cannot exceed"):
+        k_min_search(12, 13)
+
+
 # ── parallel determinism ───────────────────────────────────────────────────
 
 
@@ -189,3 +233,18 @@ def test_budget_check():
     with pytest.raises(BudgetExceededError):
         check_budget(40, [9], budget=1000)
     assert composition_count(12, 3) == math.comb(11, 2)
+
+
+def test_library_entry_points_refuse_over_budget_without_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated despite the budget")
+
+    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    with pytest.raises(BudgetExceededError, match="nothing searched"):
+        k_min(65535)
+    with pytest.raises(BudgetExceededError):
+        z_groups(100, 50)
+    # k = 8 alone fits (15.4M), the range 8..9 does not (76.9M).
+    check_budget(40, [8])
+    with pytest.raises(BudgetExceededError):
+        summary(40, range(8, 10))
