@@ -1,10 +1,10 @@
 """Command-line surface: enumeration, construction, and verification.
 
 Commands emit a single output document per invocation as text (default),
-CSV, or JSON.  JSON documents carry a schema version, the command name, its
-semantic parameters, and sorted rows; they are byte-identical regardless of
-the --threads setting.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 enumeration-budget refusal.
+CSV, or JSON; every format is byte-identical regardless of the --threads
+setting.  JSON documents carry a schema version, the command name, its
+semantic parameters, and sorted rows.  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 enumeration-budget refusal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .construct import ZPair, classify_pair, group_zpairs, k4_pair, scale_zpair, zpairs_of
 from .core import PitchClassSet, normalize_to_zero, set_from_composition, steps
@@ -179,12 +179,16 @@ def _parse_set(text: str) -> tuple[int, ...]:
 # ── rendering ─────────────────────────────────────────────────────────────
 
 
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
 def _fmt_set(elements) -> str:
-    return "{" + ",".join(str(e) for e in elements) + "}"
+    return "{" + _joined(elements) + "}"
 
 
 def _fmt_comp(parts) -> str:
-    return "(" + ",".join(str(p) for p in parts) + ")"
+    return "(" + _joined(parts) + ")"
 
 
 def _fmt_classification(row: dict) -> str:
@@ -203,143 +207,108 @@ def _columns(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
-def _pair_lines(row: dict) -> list[str]:
+TABLE_FIELDS = ("n", "k", "ti_classes", "multisets", "nonreconstructible")
+
+
+def _table_lines(params: dict, rows: list[dict]) -> list[str]:
+    header = TABLE_FIELDS[1:]
+    body = [[str(r[field]) for field in header] for r in rows]
+    title = f"composition classes of Z_{params['n']} by cardinality"
+    return [title, *_columns([header, *body])]
+
+
+def _group_lines(rows: list[dict]) -> Iterator[str]:
+    for row in rows:
+        yield f"group {row['index']}  mu={_fmt_set(row['mu_multiset'])}"
+        for member in row["members"]:
+            yield f"  {_fmt_comp(member['composition'])}  {_fmt_set(member['set'])}"
+        for pair in row["pairs"]:
+            i, j = pair["members"]
+            yield f"  members {i}-{j}: {_fmt_classification(pair['classification'])}"
+
+
+def _zpairs_lines(params: dict, rows: list[dict]) -> list[str]:
+    return [f"n={params['n']} k={params['k']}: {len(rows)} Z-group(s)", *_group_lines(rows)]
+
+
+def _group_records(row: dict) -> list[list]:
     return [
-        f"Z{row['n']} pair",
-        f"  set1 {_fmt_set(row['set1'])}  composition {_fmt_comp(row['composition1'])}",
-        f"  set2 {_fmt_set(row['set2'])}  composition {_fmt_comp(row['composition2'])}",
-        f"  mu {_fmt_set(row['mu_multiset'])}",
-        f"  classification: {_fmt_classification(row['classification'])}",
+        [row["n"], row["k"], row["index"], m, _fmt_comp(member["composition"]),
+         _joined(member["set"]), _joined(row["mu_multiset"]), member["step_gcd"]]
+        for m, member in enumerate(row["members"])
     ]
 
 
-def _group_lines(row: dict) -> list[str]:
-    lines = [f"group {row['index']}  mu={_fmt_set(row['mu_multiset'])}"]
-    for member in row["members"]:
-        lines.append(
-            f"  {_fmt_comp(member['composition'])}  {_fmt_set(member['set'])}"
-        )
-    for pair in row["pairs"]:
-        i, j = pair["members"]
-        lines.append(
-            f"  members {i}-{j}: {_fmt_classification(pair['classification'])}"
-        )
-    return lines
+def _kmin_lines(params: dict, rows: list[dict]) -> list[str]:
+    (row,) = rows
+    if row["k_min"] is None:
+        return [f"k_min({row['n']}): none up to k={row['k_max_searched']}"]
+    return [f"k_min({row['n']}) = {row['k_min']}", "witness:", *_group_lines([row["witness"]])]
 
 
-def _render_text(doc: dict) -> str:
-    command = doc["command"]
-    params = doc["parameters"]
-    rows = doc["rows"]
-    out: list[str] = []
-    if command == "table":
-        out.append(f"composition classes of Z_{params['n']} by cardinality")
-        header = ["k", "ti_classes", "multisets", "nonreconstructible"]
-        body = [
-            [str(r["k"]), str(r["ti_classes"]), str(r["multisets"]),
-             str(r["nonreconstructible"])]
-            for r in rows
-        ]
-        out.extend(_columns([header] + body))
-    elif command == "zpairs":
-        out.append(
-            f"n={params['n']} k={params['k']}: {len(rows)} Z-group(s)"
-        )
-        for row in rows:
-            out.extend(_group_lines(row))
-    elif command == "kmin":
-        row = rows[0]
-        if row["k_min"] is None:
-            out.append(
-                f"k_min({row['n']}): none up to k={row['k_max_searched']}"
-            )
-        else:
-            out.append(f"k_min({row['n']}) = {row['k_min']}")
-            out.append("witness:")
-            out.extend(_group_lines(row["witness"]))
-    elif command in ("k4", "scale", "classify"):
-        if not rows:
-            out.append("no Z-pairs found")
-        for row in rows:
-            out.extend(_pair_lines(row))
-    elif command == "verify":
-        for row in rows:
-            mark = "PASS" if row["status"] == "pass" else "FAIL"
-            suffix = f"  ({row['detail']})" if row["detail"] else ""
-            out.append(f"{mark} {row['check']}{suffix}")
-        passed = sum(1 for r in rows if r["status"] == "pass")
-        out.append(f"{passed}/{len(rows)} checks passed")
-    return "\n".join(out) + "\n"
+def _pair_lines(params: dict, rows: list[dict]) -> Iterator[str]:
+    if not rows:
+        yield "no Z-pairs found"
+    for row in rows:
+        yield f"Z{row['n']} pair"
+        yield f"  set1 {_fmt_set(row['set1'])}  composition {_fmt_comp(row['composition1'])}"
+        yield f"  set2 {_fmt_set(row['set2'])}  composition {_fmt_comp(row['composition2'])}"
+        yield f"  mu {_fmt_set(row['mu_multiset'])}"
+        yield f"  classification: {_fmt_classification(row['classification'])}"
 
 
-def _render_csv(doc: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    command = doc["command"]
-    rows = doc["rows"]
-    if command == "table":
-        writer.writerow(["n", "k", "ti_classes", "multisets", "nonreconstructible"])
-        for r in rows:
-            writer.writerow(
-                [r["n"], r["k"], r["ti_classes"], r["multisets"],
-                 r["nonreconstructible"]]
-            )
-    elif command == "zpairs":
-        writer.writerow(
-            ["n", "k", "group", "member", "composition", "set", "mu_multiset",
-             "step_gcd"]
-        )
-        for r in rows:
-            for m, member in enumerate(r["members"]):
-                writer.writerow(
-                    [
-                        r["n"],
-                        r["k"],
-                        r["index"],
-                        m,
-                        _fmt_comp(member["composition"]),
-                        ",".join(str(e) for e in member["set"]),
-                        ",".join(str(ic) for ic in r["mu_multiset"]),
-                        member["step_gcd"],
-                    ]
-                )
-    elif command == "kmin":
-        writer.writerow(["n", "k_min", "k_max_searched"])
-        for r in rows:
-            writer.writerow(
-                [r["n"], "" if r["k_min"] is None else r["k_min"],
-                 r["k_max_searched"]]
-            )
-    elif command in ("k4", "scale", "classify"):
-        writer.writerow(
-            ["n", "set1", "set2", "composition1", "composition2", "mu_multiset",
-             "classification"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r["n"],
-                    ",".join(str(e) for e in r["set1"]),
-                    ",".join(str(e) for e in r["set2"]),
-                    _fmt_comp(r["composition1"]),
-                    _fmt_comp(r["composition2"]),
-                    ",".join(str(ic) for ic in r["mu_multiset"]),
-                    _fmt_classification(r["classification"]),
-                ]
-            )
-    elif command == "verify":
-        writer.writerow(["check", "status", "detail"])
-        for r in rows:
-            writer.writerow([r["check"], r["status"], r["detail"]])
-    return buf.getvalue()
+def _pair_records(row: dict) -> list[list]:
+    return [
+        [row["n"], _joined(row["set1"]), _joined(row["set2"]),
+         _fmt_comp(row["composition1"]), _fmt_comp(row["composition2"]),
+         _joined(row["mu_multiset"]), _fmt_classification(row["classification"])]
+    ]
+
+
+def _verify_lines(params: dict, rows: list[dict]) -> Iterator[str]:
+    for row in rows:
+        mark = "PASS" if row["status"] == "pass" else "FAIL"
+        suffix = f"  ({row['detail']})" if row["detail"] else ""
+        yield f"{mark} {row['check']}{suffix}"
+    passed = sum(1 for r in rows if r["status"] == "pass")
+    yield f"{passed}/{len(rows)} checks passed"
+
+
+_PAIRS = (
+    _pair_lines,
+    ("n", "set1", "set2", "composition1", "composition2", "mu_multiset", "classification"),
+    _pair_records,
+)
+
+# command -> (text lines of (parameters, rows), CSV header, CSV records of one
+# row); records None means the row's header fields in order.
+RENDERERS = {
+    "table": (_table_lines, TABLE_FIELDS, None),
+    "zpairs": (
+        _zpairs_lines,
+        ("n", "k", "group", "member", "composition", "set", "mu_multiset", "step_gcd"),
+        _group_records,
+    ),
+    "kmin": (_kmin_lines, ("n", "k_min", "k_max_searched"), None),
+    "k4": _PAIRS,
+    "scale": _PAIRS,
+    "classify": _PAIRS,
+    "verify": (_verify_lines, ("check", "status", "detail"), None),
+}
 
 
 def render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        return _render_csv(doc)
-    return _render_text(doc)
+    text, header, records = RENDERERS[doc["command"]]
+    if fmt == "text":
+        return "\n".join(text(doc["parameters"], doc["rows"])) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in doc["rows"]:
+        writer.writerows(records(row) if records else [[row[f] for f in header]])
+    return buf.getvalue()
 
 
 # ── argument parsing and entry point ──────────────────────────────────────
@@ -352,7 +321,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("table", help="class/vector/Z counts per cardinality")
+    p.add_argument("n", type=int)
+    p.add_argument("--kmin", type=int, default=None, help="lowest cardinality (default 2)")
+    p.add_argument("--kmax", type=int, default=None, help="highest cardinality (default n//2)")
+
+    p = sub.add_parser("zpairs", help="all Z-groups at one (n, k)")
+    p.add_argument("n", type=int)
+    p.add_argument("k", type=int)
+
+    p = sub.add_parser("kmin", help="smallest cardinality admitting a Z-pair")
+    p.add_argument("n", type=int)
+    p.add_argument(
+        "--kmax",
+        type=int,
+        default=None,
+        help="search bound (default n//2, assuming complement symmetry)",
+    )
+
+    p = sub.add_parser("k4", help="explicit 4-element Z-pair for n divisible by 4")
+    p.add_argument("n", type=int)
+    p.add_argument("a", type=int, help="offset, 1 <= a < n/4")
+
+    p = sub.add_parser("scale", help="scale the Z-pairs of Z_m up to Z_{d*m}")
+    p.add_argument("base_n", type=int, help="base modulus m")
+    p.add_argument("d", type=int, help="scale factor")
+    p.add_argument("k", type=int, help="cardinality to enumerate at the base")
+
+    p = sub.add_parser("classify", help="primitive/derived status of a Z-pair")
+    p.add_argument("n", type=int)
+    p.add_argument("set1", help="comma-separated residues, e.g. 0,1,3,7")
+    p.add_argument("set2", help="comma-separated residues, e.g. 0,1,4,6")
+
+    p = sub.add_parser("verify", help="run a built-in verification suite")
+    p.add_argument("suite", choices=(*SUITES, "all"))
+
+    for p in sub.choices.values():
         p.add_argument(
             "--format",
             choices=("text", "csv", "json"),
@@ -366,49 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="worker count for enumeration; output is independent of it",
         )
-
-    p = sub.add_parser("table", help="class/vector/Z counts per cardinality")
-    p.add_argument("n", type=int)
-    p.add_argument("--kmin", type=int, default=None, help="lowest cardinality (default 2)")
-    p.add_argument("--kmax", type=int, default=None, help="highest cardinality (default n//2)")
-    common(p)
-
-    p = sub.add_parser("zpairs", help="all Z-groups at one (n, k)")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    common(p)
-
-    p = sub.add_parser("kmin", help="smallest cardinality admitting a Z-pair")
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--kmax",
-        type=int,
-        default=None,
-        help="search bound (default n//2, assuming complement symmetry)",
-    )
-    common(p)
-
-    p = sub.add_parser("k4", help="explicit 4-element Z-pair for n divisible by 4")
-    p.add_argument("n", type=int)
-    p.add_argument("a", type=int, help="offset, 1 <= a < n/4")
-    common(p)
-
-    p = sub.add_parser("scale", help="scale the Z-pairs of Z_m up to Z_{d*m}")
-    p.add_argument("base_n", type=int, help="base modulus m")
-    p.add_argument("d", type=int, help="scale factor")
-    p.add_argument("k", type=int, help="cardinality to enumerate at the base")
-    common(p)
-
-    p = sub.add_parser("classify", help="primitive/derived status of a Z-pair")
-    p.add_argument("n", type=int)
-    p.add_argument("set1", help="comma-separated residues, e.g. 0,1,3,7")
-    p.add_argument("set2", help="comma-separated residues, e.g. 0,1,4,6")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("suite", choices=(*SUITES, "all"))
-    common(p)
-
     return parser
 
 

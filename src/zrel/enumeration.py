@@ -219,10 +219,12 @@ def k_min_search(
     determines it up to T/I.  The default bound k_max = n // 2 relies on the
     complement symmetry of the Z-relation (cardinalities k and n - k behave
     identically), which this tool assumes rather than verifies; pass an
-    explicit k_max to search further.  All k searched share one budget.
+    explicit k_max in [1, n] to search further.  All k searched share one budget.
     """
     check_modulus(n)
     hi = n // 2 if k_max is None else k_max
+    if hi < 1:
+        raise ValueError(f"kmax must be at least 1, got {hi}")
     if hi > n:
         raise ValueError(f"kmax cannot exceed n={n}, got {hi}")
     spent = 0

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
+
+from zrel import cli
 
 GOLDEN_Z12 = [
     (3, 12, 12, 0),
@@ -179,6 +183,13 @@ def test_kmin_none_up_to_bound(run_cli):
     assert "none up to k=4" in out
 
 
+@pytest.mark.parametrize("kmax", [0, -5])
+def test_kmin_rejects_kmax_below_one(run_cli, kmax):
+    code, out, err = run_cli("kmin", 12, "--kmax", kmax, "--threads", 1)
+    assert (code, out) == (2, "")
+    assert f"kmax must be at least 1, got {kmax}" in err
+
+
 def test_kmin_budget_refusal(run_cli):
     code, _, err = run_cli("kmin", 65535)
     assert code == 3 and "budget" in err
@@ -308,3 +319,37 @@ def test_json_output_independent_of_threads(run_cli):
         for t in (1, 2, 4)
     }
     assert len(outputs) == 1
+
+
+# ── text and CSV snapshots ─────────────────────────────────────────────────
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SNAPSHOTS = {
+    "table-12": ("table", 12, "--kmin", 3, "--kmax", 9),
+    "zpairs-12-4": ("zpairs", 12, 4),
+    "kmin-10": ("kmin", 10),
+    "kmin-10-kmax-4": ("kmin", 10, "--kmax", 4),
+    "scale-13-2-4": ("scale", 13, 2, 4),
+    "scale-12-1-3": ("scale", 12, 1, 3),
+    "classify-24": ("classify", 24, "0,2,6,14", "0,2,8,12"),
+    "k4-24-5": ("k4", 24, 5),
+    "verify-k4": ("verify", "k4"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("name", SNAPSHOTS)
+def test_output_matches_snapshot(run_cli, name, fmt, threads):
+    code, out, err = run_cli(*SNAPSHOTS[name], "--format", fmt, "--threads", threads)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
+def test_every_command_has_one_builder_and_one_renderer():
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(sub.choices) == set(cli.COMMANDS) == set(cli.RENDERERS)

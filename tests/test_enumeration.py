@@ -211,6 +211,9 @@ def test_k_min_search_reports_the_searched_range_and_witness():
     assert k_min_search(12, 2) == (None, 2, None)
     with pytest.raises(ValueError, match="cannot exceed"):
         k_min_search(12, 13)
+    for k_max in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            k_min_search(12, k_max)
 
 
 # ── parallel determinism ───────────────────────────────────────────────────
