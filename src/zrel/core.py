@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations
 
 # All arithmetic stays within 64-bit signed range for n up to this bound.
@@ -154,18 +155,19 @@ def set_from_composition(comp: Composition) -> PitchClassSet:
     return PitchClassSet(comp.n, (0, *accumulate(comp.parts[:-1])))
 
 
+@lru_cache(maxsize=8)
+def _ic_index(n: int) -> tuple[int, ...]:
+    # Entry d (1 <= d < n) is the count index of interval class min(d, n - d);
+    # the small bound keeps a caller sweeping many moduli from growing it.
+    return tuple(min(d, n - d) - 1 for d in range(n))
+
+
 def _interval_counts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     # Additivity rule on raw tuples; shared with the enumeration fast path.
+    index = _ic_index(n)
     counts = [0] * (n // 2)
-    elems = (0, *accumulate(parts[:-1]))
-    k = len(elems)
-    for i in range(k - 1):
-        ei = elems[i]
-        for j in range(i + 1, k):
-            d = elems[j] - ei
-            if 2 * d > n:
-                d = n - d
-            counts[d - 1] += 1
+    for a, b in combinations((0, *accumulate(parts[:-1])), 2):
+        counts[index[b - a]] += 1
     return tuple(counts)
 
 

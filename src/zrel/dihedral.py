@@ -29,11 +29,28 @@ def canonical_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_canonical_parts(parts: tuple[int, ...]) -> bool:
-    # The canonical form starts with the minimum part, so most rejections
-    # are decided by this O(k) scan alone.
-    if parts[0] != min(parts):
+    # The canonical form starts with the minimum part, so a first part above
+    # the minimum is rejected by this O(k) scan alone.  Otherwise only the
+    # rotations of parts and of its reversal that start at a part equal to
+    # parts[0] can be smaller than parts; they are compared one at a time,
+    # the reversal read backwards from each such part first, and the first
+    # smaller one rejects.
+    first = parts[0]
+    if first != min(parts):
         return False
-    return parts == canonical_parts(parts)
+    k = len(parts)
+    doubled = parts + parts
+    reversed_doubled = doubled[::-1]
+    i = 0
+    while True:
+        if reversed_doubled[k - 1 - i : 2 * k - 1 - i] < parts:
+            return False
+        try:
+            i = parts.index(first, i + 1)
+        except ValueError:
+            return True
+        if doubled[i : i + k] < parts:
+            return False
 
 
 def rotations_and_reversals(comp: Composition) -> list[Composition]:

@@ -1,11 +1,14 @@
 """Exhaustive enumeration of composition classes and Z-relation detection.
 
-The pipeline streams all C(n-1, k-1) compositions of n into k positive
-parts, keeps the ones that equal their own canonical form (rejection
-canonicalization, one survivor per rotation/reversal class), and groups
-the survivors by interval vector.  A class whose vector is shared by two
-or more inequivalent compositions is a Z-group: its realizations are
-pairwise Z-related.
+A canonical composition starts with its minimum part, so for each first
+part s1 the pipeline streams only the compositions of n into k positive
+parts whose other parts are all at least s1, far fewer than all
+C(n-1, k-1).  It keeps the ones that equal their own canonical form
+(rejection canonicalization, one survivor per rotation/reversal class),
+checks their number against the closed-form bracelet count, and groups
+them by interval vector.  A class whose vector is shared by two or more
+inequivalent compositions is a Z-group: its realizations are pairwise
+Z-related.
 
 The stream is partitioned by first part, so the map phase shares nothing
 and can run across worker processes; the reduction is an order-independent
@@ -57,6 +60,17 @@ class SummaryRow:
     multisets: int
     nonreconstructible: int
 
+    @classmethod
+    def of(cls, n: int, k: int, table: list[RealizationClass]) -> SummaryRow:
+        """The row of the realization table of (n, k)."""
+        return cls(
+            n=n,
+            k=k,
+            ti_classes=sum(rc.realization_number for rc in table),
+            multisets=len(table),
+            nonreconstructible=sum(1 for rc in table if rc.realization_number >= 2),
+        )
+
 
 def composition_count(n: int, k: int) -> int:
     """Number of compositions of n into k positive parts: C(n-1, k-1)."""
@@ -74,6 +88,31 @@ def check_budget(n: int, ks: Iterable[int], budget: int = COMPOSITION_BUDGET) ->
                 f"enumerating n={n}, k={ks} would stream at least {total} "
                 f"compositions (budget {budget}); narrow the cardinality range"
             )
+
+
+def _totient(m: int) -> int:
+    result = rest = m
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            result -= result // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return result - result // rest if rest > 1 else result
+
+
+def _bracelet_count(n: int, k: int) -> int:
+    """Rotation/reversal classes of k-subsets of Z_n: binary bracelets (Burnside)."""
+    g = math.gcd(n, k)
+    rotations = sum(
+        _totient(d) * math.comb(n // d, k // d) for d in range(1, g + 1) if g % d == 0
+    )
+    # Every reflection fixes C(n // 2, k // 2) subsets, except for odd k on
+    # even n: then the n / 2 axes through two beads fix 2 C(n/2 - 1, k // 2)
+    # subsets each (one of those beads set) and the other axes fix none.
+    reflections = n * math.comb(n // 2 - (k % 2 > n % 2), k // 2)
+    return (rotations + reflections) // (2 * n)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -109,18 +148,20 @@ def enumerate_compositions(n: int, k: int) -> Iterator[Composition]:
 # Workers receive one first part each.  A canonical composition starts with
 # its minimum part, so every survivor belongs to exactly one worker and the
 # reduce phase never sees duplicates.  First parts above n // k cannot start
-# a canonical composition at all and are skipped outright.
+# a canonical composition at all and are skipped outright.  Worker s1
+# streams only the rests whose parts are all >= s1: the compositions of
+# n - s1 - (k-1)(s1-1) into k - 1 parts, each part raised by s1 - 1, which
+# keeps the lexicographic order of the rests.
 
 
 def _groups_for_first_part(
     task: tuple[int, int, int]
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     n, k, s1 = task
+    shift = s1 - 1
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for rest in _raw_compositions(n - s1, k - 1):
-        if min(rest) < s1:
-            continue
-        parts = (s1, *rest)
+    for rest in _raw_compositions(n - s1 - (k - 1) * shift, k - 1):
+        parts = (s1, *[r + shift for r in rest]) if shift else (s1, *rest)
         if is_canonical_parts(parts):
             groups.setdefault(_interval_counts(parts, n), []).append(parts)
     return groups
@@ -167,6 +208,12 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     _check_k(n, k)
     check_budget(n, [k])
     groups = _class_groups(n, k, max(1, workers))
+    found, expected = sum(map(len, groups.values())), _bracelet_count(n, k)
+    if found != expected:
+        raise RuntimeError(
+            f"enumeration of n={n}, k={k} kept {found} classes, "
+            f"but the closed-form bracelet count is {expected}"
+        )
     return [
         RealizationClass(
             IntervalVector(n, key),
@@ -186,21 +233,7 @@ def summary(n: int, ks: Iterable[int], workers: int = 1) -> list[SummaryRow]:
     check_modulus(n)
     ks = list(ks)
     check_budget(n, ks)
-    rows = []
-    for k in ks:
-        table = realization_table(n, k, workers)
-        rows.append(
-            SummaryRow(
-                n=n,
-                k=k,
-                ti_classes=sum(rc.realization_number for rc in table),
-                multisets=len(table),
-                nonreconstructible=sum(
-                    1 for rc in table if rc.realization_number >= 2
-                ),
-            )
-        )
-    return rows
+    return [SummaryRow.of(n, k, realization_table(n, k, workers)) for k in ks]
 
 
 def z_pair_count(n: int, k: int, workers: int = 1) -> int:

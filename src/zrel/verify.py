@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .construct import k4_pair, scale_zpair, zpairs_of
 from .core import PitchClassSet, dft_magnitudes, set_from_composition
 from .dihedral import ti_equivalent
-from .enumeration import summary, z_groups
+from .enumeration import SummaryRow, realization_table, summary, z_groups
 
 DFT_TOLERANCE = 1e-9
 
@@ -109,7 +109,8 @@ def suite_z12(workers: int = 1) -> list[CheckResult]:
 
 def suite_z19(workers: int = 1) -> list[CheckResult]:
     results = []
-    for row in summary(19, range(3, 8), workers):
+    tables = {k: realization_table(19, k, workers) for k in range(3, 8)}
+    for row in (SummaryRow.of(19, k, table) for k, table in tables.items()):
         got = (row.ti_classes, row.multisets, row.nonreconstructible)
         want = GOLDEN_Z19[row.k]
         results.append(
@@ -120,7 +121,7 @@ def suite_z19(workers: int = 1) -> list[CheckResult]:
     w2 = PitchClassSet(19, Z19_WITNESS[1])
     sharing = [
         rc
-        for rc in z_groups(19, 6, workers)
+        for rc in tables[6]
         if {w1, w2} <= {set_from_composition(c) for c in rc.realizations}
     ]
     witness_ok = len(sharing) == 1 and not ti_equivalent(w1, w2)

@@ -286,6 +286,24 @@ def test_verify_all_passes(run_cli):
     assert "36/36 checks passed" in out
 
 
+def test_verify_z19_enumerates_each_cardinality_once(run_cli, monkeypatch):
+    from zrel import enumeration, verify
+
+    calls = []
+    table = enumeration.realization_table
+
+    def counted(n, k, workers=1):
+        calls.append((n, k))
+        return table(n, k, workers)
+
+    for module in (enumeration, verify):
+        monkeypatch.setattr(module, "realization_table", counted)
+    code, out, _ = run_cli("verify", "z19", "--threads", 1)
+    assert code == 0
+    assert "6/6 checks passed" in out
+    assert calls == [(19, k) for k in range(3, 8)]
+
+
 def test_verify_failure_sets_exit_code(run_cli, monkeypatch):
     from zrel import cli as cli_module
     from zrel.verify import CheckResult

@@ -3,8 +3,9 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from zrel import core
 from zrel.core import (
     Composition,
     IntervalVector,
@@ -156,6 +157,19 @@ def test_normalize_to_zero():
 
 
 # ── interval multisets ─────────────────────────────────────────────────────
+
+
+@given(compositions())
+def test_interval_counts_match_pairwise_oracle(comp):
+    assume(len(comp) >= 2)
+    want = interval_multiset_brute(set_from_composition(comp)).counts
+    assert core._interval_counts(comp.parts, comp.n) == want
+
+
+def test_interval_class_table_cache_is_bounded():
+    for n in range(3, 40):
+        core._interval_counts((1, 1, n - 2), n)
+    assert core._ic_index.cache_info().currsize <= 8
 
 
 def test_interval_multiset_all_interval_tetrachord():

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from zrel.core import Composition, PitchClassSet, interval_multiset, normalize_to_zero, steps
 from zrel.dihedral import (
     canonical,
+    canonical_parts,
     equivalent,
     is_canonical,
+    is_canonical_parts,
     rotations_and_reversals,
     ti_equivalent,
 )
@@ -94,6 +96,40 @@ def test_canonical_idempotent_and_in_orbit(comp):
     assert canonical(rep) == rep
     assert is_canonical(rep)
     assert rep.parts in {c.parts for c in rotations_and_reversals(comp)}
+
+
+# Small parts make repeated minima, ties between rotations and palindromes
+# common; the first part is often not the minimum.
+part_tuples = st.lists(st.integers(1, 4), min_size=1, max_size=10).map(tuple)
+
+
+@given(part_tuples)
+def test_is_canonical_parts_agrees_with_orbit_minimum(parts):
+    assert is_canonical_parts(parts) == (parts == canonical_parts(parts))
+
+
+def test_is_canonical_parts_exhaustive_over_small_parts():
+    # Every tuple of parts 1..3 up to length 7 (3,279 tuples), canonical or not.
+    for k in range(1, 8):
+        for parts in product(range(1, 4), repeat=k):
+            assert is_canonical_parts(parts) == (parts == canonical_parts(parts)), parts
+
+
+@pytest.mark.parametrize(
+    "parts,want",
+    [
+        ((1, 1, 2, 1, 1, 3), True),  # the reversal read back from index 4 ties
+        ((1, 2, 1, 1, 3, 1), False),  # its rotation (1, 1, 2, 1, 1, 3) is smaller
+        ((1, 1, 3, 1, 1, 2), False),  # rotated by three it is (1, 1, 2, 1, 1, 3)
+        ((1, 2, 1, 2), True),  # rotations starting at 1 all tie
+        ((1, 3, 1, 2), False),  # rotation (1, 2, 1, 3) is smaller
+        ((1, 3, 2), False),  # only the reversal (1, 2, 3) is smaller
+        ((2, 1, 3), False),  # the first part is not the minimum
+        ((5,), True),
+    ],
+)
+def test_is_canonical_parts_examples(parts, want):
+    assert is_canonical_parts(parts) is want
 
 
 # ── equivalent ─────────────────────────────────────────────────────────────

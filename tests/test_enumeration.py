@@ -7,7 +7,7 @@ import pytest
 
 from zrel import enumeration
 from zrel.core import Composition, interval_multiset
-from zrel.dihedral import equivalent, is_canonical
+from zrel.dihedral import canonical, equivalent, is_canonical
 from zrel.enumeration import (
     BudgetExceededError,
     check_budget,
@@ -100,6 +100,26 @@ def test_class_counts_match_bracelet_closed_form():
         if len(enumerate_classes(n, k)) != _bracelet_count(n, k)
     ]
     assert mismatches == []
+
+
+def test_classes_match_canonical_forms_of_the_full_stream():
+    # Oracle without the pruned stream: canonicalize every composition.
+    for n in range(3, 17):
+        for k in range(1, n + 1):
+            want = sorted({canonical(c) for c in enumerate_compositions(n, k)})
+            assert enumerate_classes(n, k) == want, (n, k)
+
+
+def test_table_refuses_a_kernel_that_drops_a_class(monkeypatch):
+    kernel = enumeration.is_canonical_parts
+    monkeypatch.setattr(
+        enumeration, "is_canonical_parts", lambda parts: parts != (1, 2, 4, 5) and kernel(parts)
+    )
+    with pytest.raises(RuntimeError, match="kept 28 classes.*bracelet count is 29"):
+        realization_table(12, 4)
+    with pytest.raises(RuntimeError):
+        summary(12, range(3, 10))
+    assert len(realization_table(12, 5)) == 35  # other cardinalities are unaffected
 
 
 def test_classes_are_canonical_sorted_and_complete():
