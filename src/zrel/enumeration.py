@@ -11,14 +11,18 @@ inequivalent compositions is a Z-group: its realizations are pairwise
 Z-related.
 
 The stream is partitioned by first part, so the map phase shares nothing
-and can run across worker processes; the reduction is an order-independent
-dict merge followed by a global sort, making the output identical for any
-worker count.
+and can run across worker processes.  Each task lists its compositions in
+lexicographic order, and no two tasks share an interval vector, so the
+reduction merges the task results in first-part order and sorts only the
+vector keys; the output is identical for any worker count.  The table keeps
+the kernel's raw tuples: `Composition` and `IntervalVector` objects are
+built, and validated, only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -37,17 +41,34 @@ class BudgetExceededError(Exception):
     """An enumeration request would stream more compositions than the budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizationClass:
-    """All inequivalent canonical compositions realizing one interval vector."""
+    """All inequivalent canonical compositions realizing one interval vector.
 
-    mu: IntervalVector
-    realizations: tuple[Composition, ...]
+    Holds the enumeration's raw data: the modulus `n`, the interval-class
+    `counts` and the `parts` tuple of each realization, sorted.  `mu` and
+    `realizations` build their value objects through the validating
+    constructors on every access, so counting classes builds none.
+    """
+
+    n: int
+    counts: tuple[int, ...]
+    parts: tuple[tuple[int, ...], ...]
+
+    @property
+    def mu(self) -> IntervalVector:
+        """The shared interval vector."""
+        return IntervalVector(self.n, self.counts)
+
+    @property
+    def realizations(self) -> tuple[Composition, ...]:
+        """The realizations as compositions, in lexicographic order."""
+        return tuple(Composition(self.n, p) for p in self.parts)
 
     @property
     def realization_number(self) -> int:
         """R: how many inequivalent compositions share this vector."""
-        return len(self.realizations)
+        return len(self.parts)
 
 
 @dataclass(frozen=True)
@@ -168,8 +189,15 @@ def _groups_for_first_part(
 
 
 def _run_tasks(tasks: list[tuple[int, int, int]], workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # The default fork start method starts every worker up front, so the
+    # pool never exceeds the task count or the CPUs this process may use.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    size = min(workers, len(tasks), cpus)
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(_groups_for_first_part, tasks))
     return [_groups_for_first_part(task) for task in tasks]
 
@@ -180,11 +208,15 @@ def _class_groups(
     if k == 1:
         return {(0,) * (n // 2): [(n,)]}
     tasks = [(n, k, s1) for s1 in range(1, n // k + 1)]
+    # A canonical composition starts with its smallest step, which is also
+    # the smallest interval class its vector counts, so no two tasks share a
+    # vector: each list comes whole from one task, in lexicographic order,
+    # and only the keys need sorting.  (A shared key would lose classes, and
+    # the bracelet check in realization_table would refuse the result.)
     merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for groups in _run_tasks(tasks, workers):
-        for key, comps in groups.items():
-            merged.setdefault(key, []).extend(comps)
-    return {key: sorted(comps) for key, comps in sorted(merged.items())}
+        merged.update(groups)
+    return {key: merged[key] for key in sorted(merged)}
 
 
 # ── public operations ─────────────────────────────────────────────────────
@@ -192,9 +224,8 @@ def _class_groups(
 
 def enumerate_classes(n: int, k: int, workers: int = 1) -> list[Composition]:
     """One canonical representative per rotation/reversal class, sorted."""
-    return sorted(
-        comp for rc in realization_table(n, k, workers) for comp in rc.realizations
-    )
+    table = realization_table(n, k, workers)
+    return [Composition(n, p) for p in sorted(p for rc in table for p in rc.parts)]
 
 
 def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass]:
@@ -214,13 +245,7 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
             f"enumeration of n={n}, k={k} kept {found} classes, "
             f"but the closed-form bracelet count is {expected}"
         )
-    return [
-        RealizationClass(
-            IntervalVector(n, key),
-            tuple(Composition(n, parts) for parts in comps),
-        )
-        for key, comps in groups.items()
-    ]
+    return [RealizationClass(n, key, tuple(comps)) for key, comps in groups.items()]
 
 
 def z_groups(n: int, k: int, workers: int = 1) -> list[RealizationClass]:

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import math
+import os
+from functools import cache
 from itertools import combinations
 
 import pytest
 
 from zrel import enumeration
-from zrel.core import Composition, interval_multiset
+from zrel.core import Composition, IntervalVector, interval_multiset
 from zrel.dihedral import canonical, equivalent, is_canonical
 from zrel.enumeration import (
     BudgetExceededError,
+    RealizationClass,
     check_budget,
     composition_count,
     enumerate_classes,
@@ -176,6 +179,59 @@ def test_group_members_are_pairwise_z_related():
             assert not equivalent(a, b)
 
 
+@cache
+def _eager_table(n: int, k: int) -> list[tuple[IntervalVector, tuple[Composition, ...]]]:
+    # Oracle: canonicalize the full stream, group by vector, sort everything here.
+    groups: dict[IntervalVector, list[Composition]] = {}
+    for comp in {canonical(c) for c in enumerate_compositions(n, k)}:
+        mu = interval_multiset(comp) if k > 1 else IntervalVector(n, (0,) * (n // 2))
+        groups.setdefault(mu, []).append(comp)
+    return [(mu, tuple(sorted(comps))) for mu, comps in sorted(groups.items())]
+
+
+@pytest.mark.parametrize(
+    ("n", "workers"), [(n, 1) for n in range(3, 17)] + [(12, 2), (16, 2)]
+)
+def test_table_matches_an_eager_oracle(n, workers):
+    # The reduce phase does not sort within a class; the oracle sorts itself.
+    for k in range(1, n + 1):
+        table = realization_table(n, k, workers)
+        assert [(rc.mu, rc.realizations) for rc in table] == _eager_table(n, k), (n, k)
+        assert all(rc.realization_number == len(rc.realizations) for rc in table)
+        # Why no two first-part tasks share a vector: every member of a class
+        # starts with the smallest interval class that the vector counts.
+        for rc in table if k > 1 else ():
+            smallest = next(ic for ic, c in enumerate(rc.counts, start=1) if c)
+            assert {p[0] for p in rc.parts} == {smallest}
+
+
+def test_counting_builds_no_value_objects(monkeypatch):
+    calls = {Composition: 0, IntervalVector: 0}
+    for cls in calls:
+
+        def counted(self, cls=cls, post_init=cls.__post_init__):
+            calls[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    summary(20, range(3, 11))
+    assert calls == {Composition: 0, IntervalVector: 0}
+    groups = z_groups(12, 6)
+    assert calls == {Composition: 0, IntervalVector: 0}
+    for rc in groups:
+        rc.realizations
+    r_total = sum(rc.realization_number for rc in groups)
+    assert calls == {Composition: r_total, IntervalVector: 0}
+
+
+def test_realization_class_validates_on_access():
+    counts = realization_table(12, 4)[0].counts
+    with pytest.raises(ValueError, match="sum to 6, not 12"):
+        RealizationClass(12, counts, ((1, 2, 3),)).realizations
+    with pytest.raises(ValueError, match="expected 6 interval-class counts"):
+        RealizationClass(12, counts[:-1], ((1, 1, 1, 9),)).mu
+
+
 # ── z_groups / summary / z_pair_count ─────────────────────────────────────
 
 
@@ -244,6 +300,40 @@ def test_worker_count_does_not_change_results():
     assert realization_table(19, 6, workers=2) == single
     assert realization_table(19, 6, workers=3) == single
     assert enumerate_classes(14, 5, workers=2) == enumerate_classes(14, 5, workers=1)
+
+
+def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, run_cli):
+    sizes = []
+
+    class InlinePool:
+        """Records the requested pool size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    want = realization_table(20, 4)  # 5 first-part tasks
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    for cpus, workers, size in [(64, 5000, 5), (64, 3, 3), (2, 5000, 2), (1, 5000, None)]:
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False
+        )
+        sizes.clear()
+        assert realization_table(20, 4, workers) == want
+        assert sizes == ([] if size is None else [size])
+    # The CLI passes --threads straight through; the library caps it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sizes.clear()
+    code, _, _ = run_cli("table", 20, "--kmin", 4, "--kmax", 4, "--threads", 5000)
+    assert code == 0 and sizes == [2]
 
 
 # ── budget ─────────────────────────────────────────────────────────────────
