@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from itertools import combinations
@@ -366,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=os.cpu_count() or 1,
+            default=1,
             metavar="N",
-            help="worker count for enumeration; output is independent of it",
+            help="worker count for enumeration (default: 1); output is independent of it",
         )
     return parser
 

@@ -17,6 +17,7 @@ from itertools import combinations
 from .core import (
     IntervalVector,
     PitchClassSet,
+    interval_multiset,
     interval_multiset_brute,
     normalize_to_zero,
     set_from_composition,
@@ -108,12 +109,10 @@ def scale_zpair(pair: ZPair, d: int) -> ZPair:
     before being returned; a failure would mean the scaling property itself
     is broken and is raised as an internal error, not bad input.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {d!r}")
-    if d == 1:
-        return pair
     s1 = scale_set(pair.set1, d)
     s2 = scale_set(pair.set2, d)
+    if d == 1:
+        return pair
     try:
         return ZPair(s1, s2, _scaled_vector(pair.mu, d), d, pair)
     except ValueError as exc:
@@ -129,13 +128,14 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
     pair is a d-scaling exactly for the divisors d of g, because steps are
     transposition-invariant and reversal merely permutes them.  Dividing out
     the full g recovers the primitive pair the input scales up from.  The
-    Z-relation itself is checked once, by `ZPair`.
+    stated vector comes from the steps by the additivity rule; `ZPair`
+    checks it and the Z-relation against the direct pairwise scan.
     """
     if set1.n != set2.n:
         raise ValueError("both sets must live in the same Z_n")
-    mu = interval_multiset_brute(set1)
     c1 = steps(normalize_to_zero(set1))
     c2 = steps(normalize_to_zero(set2))
+    mu = interval_multiset(c1)
     g = math.gcd(*c1.parts, *c2.parts)
     if g == 1:
         return ZPair(set1, set2, mu)

@@ -25,7 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
 from .core import Composition, IntervalVector, _interval_counts, check_modulus
@@ -98,37 +98,38 @@ def composition_count(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1)
 
 
-def check_budget(n: int, ks: Iterable[int], budget: int = COMPOSITION_BUDGET) -> None:
-    """Refuse an enumeration whose total stream exceeds the budget."""
+def _check_k(n: int, k: int) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+        raise ValueError(f"cardinality must be an integer in [1, {n}], got {k!r}")
+
+
+def check_budget(n: int, ks: Iterable[int]) -> None:
+    """The one guard of an enumeration request: refuse it before any work.
+
+    Checks the modulus, then every cardinality, then the running total of
+    the composition stream against `COMPOSITION_BUDGET`.
+    """
+    check_modulus(n)
     ks = list(ks)
-    total = 0
     for k in ks:
-        total += composition_count(n, k)
-        if total > budget:
+        _check_k(n, k)
+    for total in accumulate(composition_count(n, k) for k in ks):
+        if total > COMPOSITION_BUDGET:
             raise BudgetExceededError(
-                f"enumerating n={n}, k={ks} would stream at least {total} "
-                f"compositions (budget {budget}); narrow the cardinality range"
+                f"enumerating n={n}, k={ks} would stream at least {total} compositions "
+                f"(budget {COMPOSITION_BUDGET}); narrow the cardinality range"
             )
 
 
-def _totient(m: int) -> int:
-    result = rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            result -= result // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return result - result // rest if rest > 1 else result
-
-
 def _bracelet_count(n: int, k: int) -> int:
-    """Rotation/reversal classes of k-subsets of Z_n: binary bracelets (Burnside)."""
-    g = math.gcd(n, k)
-    rotations = sum(
-        _totient(d) * math.comb(n // d, k // d) for d in range(1, g + 1) if g % d == 0
-    )
+    """Rotation/reversal classes of k-subsets of Z_n: binary bracelets (Burnside).
+
+    Burnside's lemma averages the fixed subsets over the 2n symmetries.
+    Rotation by i splits Z_n into g = gcd(i, n) cycles of length n / g, so
+    it fixes C(g, k g / n) subsets when n / g divides k, and none otherwise.
+    """
+    gs = [math.gcd(i, n) for i in range(n)]
+    rotations = sum(math.comb(g, k * g // n) for g in gs if k % (n // g) == 0)
     # Every reflection fixes C(n // 2, k // 2) subsets, except for odd k on
     # even n: then the n / 2 axes through two beads fix 2 C(n/2 - 1, k // 2)
     # subsets each (one of those beads set) and the other axes fix none.
@@ -136,17 +137,9 @@ def _bracelet_count(n: int, k: int) -> int:
     return (rotations + reflections) // (2 * n)
 
 
-def _check_k(n: int, k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
-        raise ValueError(f"cardinality must be an integer in [1, {n}], got {k!r}")
-
-
 def _raw_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     # Cut-point bijection: (k-1)-subsets of 1..n-1 in lexicographic order
-    # map to compositions in lexicographic order.
-    if k == 1:
-        yield (n,)
-        return
+    # map to compositions in lexicographic order; k = 1 has one, empty, cut set.
     for cuts in combinations(range(1, n), k - 1):
         prev = 0
         parts = []
@@ -235,8 +228,6 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     each class's realizations are sorted lexicographically, so the result is
     deterministic and independent of the worker count.
     """
-    check_modulus(n)
-    _check_k(n, k)
     check_budget(n, [k])
     groups = _class_groups(n, k, max(1, workers))
     found, expected = sum(map(len, groups.values())), _bracelet_count(n, k)
@@ -255,7 +246,6 @@ def z_groups(n: int, k: int, workers: int = 1) -> list[RealizationClass]:
 
 def summary(n: int, ks: Iterable[int], workers: int = 1) -> list[SummaryRow]:
     """Class/vector/Z counts per cardinality; the budget covers the whole range."""
-    check_modulus(n)
     ks = list(ks)
     check_budget(n, ks)
     return [SummaryRow.of(n, k, realization_table(n, k, workers)) for k in ks]

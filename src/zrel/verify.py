@@ -52,15 +52,18 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+def _table_rows(label: str, rows: list[SummaryRow], golden: dict) -> tuple[dict, list]:
+    """(ti_classes, multisets, nonreconstructible) by k, and each row's golden check."""
+    stats = {r.k: (r.ti_classes, r.multisets, r.nonreconstructible) for r in rows}
+    checks = [
+        _check(f"{label} table row k={k}", got == golden[k], f"got {got}, want {golden[k]}")
+        for k, got in stats.items()
+    ]
+    return stats, checks
+
+
 def suite_z12(workers: int = 1) -> list[CheckResult]:
-    results = []
-    rows = summary(12, range(3, 10), workers)
-    for row in rows:
-        got = (row.ti_classes, row.multisets, row.nonreconstructible)
-        want = GOLDEN_Z12[row.k]
-        results.append(
-            _check(f"z12 table row k={row.k}", got == want, f"got {got}, want {want}")
-        )
+    stats, results = _table_rows("z12", summary(12, range(3, 10), workers), GOLDEN_Z12)
 
     groups = {k: z_groups(12, k, workers) for k in range(3, 10)}
     total = sum(
@@ -70,9 +73,6 @@ def suite_z12(workers: int = 1) -> list[CheckResult]:
         _check("z12 pair total = 23", total == Z12_PAIR_TOTAL, f"got {total}")
     )
 
-    stats = {
-        row.k: (row.ti_classes, row.multisets, row.nonreconstructible) for row in rows
-    }
     palindrome = all(stats[k] == stats[12 - k] for k in range(3, 10))
     results.append(_check("z12 palindrome k <-> 12-k", palindrome))
 
@@ -108,14 +108,9 @@ def suite_z12(workers: int = 1) -> list[CheckResult]:
 
 
 def suite_z19(workers: int = 1) -> list[CheckResult]:
-    results = []
     tables = {k: realization_table(19, k, workers) for k in range(3, 8)}
-    for row in (SummaryRow.of(19, k, table) for k, table in tables.items()):
-        got = (row.ti_classes, row.multisets, row.nonreconstructible)
-        want = GOLDEN_Z19[row.k]
-        results.append(
-            _check(f"z19 table row k={row.k}", got == want, f"got {got}, want {want}")
-        )
+    rows = [SummaryRow.of(19, k, table) for k, table in tables.items()]
+    _, results = _table_rows("z19", rows, GOLDEN_Z19)
 
     w1 = PitchClassSet(19, Z19_WITNESS[0])
     w2 = PitchClassSet(19, Z19_WITNESS[1])

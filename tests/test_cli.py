@@ -100,6 +100,10 @@ def test_bad_threads_rejected(run_cli):
     assert code == 2
 
 
+def test_threads_default_to_one_worker():
+    assert cli.build_parser().parse_args(["table", "12"]).threads == 1
+
+
 # ── zpairs ─────────────────────────────────────────────────────────────────
 
 

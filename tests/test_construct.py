@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from zrel import core
 from zrel.construct import (
     ZPair,
     classify_pair,
@@ -121,6 +122,12 @@ def test_scale_zpair_identity():
     assert scale_zpair(pair, 1) is pair
 
 
+@pytest.mark.parametrize("d", [0, -2, True, 2.0])
+def test_scale_zpair_rejects_bad_factor(d):
+    with pytest.raises(ValueError, match="scale factor"):
+        scale_zpair(classify_pair(*Z12_PAIR), d)
+
+
 def test_scale_zpair_from_z13_fixture():
     base = classify_pair(
         PitchClassSet(13, Z13_SETS[0]), PitchClassSet(13, Z13_SETS[1])
@@ -220,6 +227,18 @@ def test_classify_rejects_non_z_related():
         classify_pair(PitchClassSet(12, (0, 1, 3, 7)), PitchClassSet(12, (1, 2, 4, 8)))
     with pytest.raises(ValueError):
         classify_pair(PitchClassSet(12, (0, 1, 3, 7)), PitchClassSet(13, (0, 1, 3, 7)))
+
+
+def test_classify_checks_the_additivity_rule_against_the_pairwise_scan(monkeypatch):
+    counts = core._interval_counts
+
+    def miscount(parts, n):
+        first, *rest = counts(parts, n)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(core, "_interval_counts", miscount)
+    with pytest.raises(ValueError, match="stated interval vector"):
+        classify_pair(*Z12_PAIR)
 
 
 def test_classify_rejects_equivalent_pair_with_common_step_factor():

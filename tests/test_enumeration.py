@@ -105,6 +105,18 @@ def test_class_counts_match_bracelet_closed_form():
     assert mismatches == []
 
 
+def test_library_bracelet_count_matches_burnside_oracle():
+    # Closed forms only, no enumeration, so the range reaches well past the
+    # enumeration check above.
+    mismatches = [
+        (n, k)
+        for n in range(3, 61)
+        for k in range(1, n + 1)
+        if enumeration._bracelet_count(n, k) != _bracelet_count(n, k)
+    ]
+    assert mismatches == []
+
+
 def test_classes_match_canonical_forms_of_the_full_stream():
     # Oracle without the pruned stream: canonicalize every composition.
     for n in range(3, 17):
@@ -344,7 +356,7 @@ def test_budget_check():
     with pytest.raises(BudgetExceededError):
         check_budget(100, [50])
     with pytest.raises(BudgetExceededError):
-        check_budget(40, [9], budget=1000)
+        check_budget(40, [9])
     assert composition_count(12, 3) == math.comb(11, 2)
 
 
@@ -361,3 +373,13 @@ def test_library_entry_points_refuse_over_budget_without_enumerating(monkeypatch
     check_budget(40, [8])
     with pytest.raises(BudgetExceededError):
         summary(40, range(8, 10))
+
+
+@pytest.mark.parametrize("ks", [[4, 13], [0]])
+def test_summary_refuses_a_bad_cardinality_before_enumerating(monkeypatch, ks):
+    def refuse(*args):
+        raise AssertionError("enumerated before refusing the request")
+
+    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    with pytest.raises(ValueError, match=rf"cardinality .* in \[1, 12\], got {ks[-1]}$"):
+        summary(12, ks)
