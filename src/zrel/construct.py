@@ -129,23 +129,17 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
     transposition-invariant and reversal merely permutes them.  Dividing out
     the full g recovers the primitive pair the input scales up from.  The
     stated vector comes from the steps by the additivity rule; `ZPair`
-    checks it and the Z-relation against the direct pairwise scan.
+    checks it and the Z-relation against the direct pairwise scan, so the
+    caller's pair is refused, by name, before any base is built.
     """
-    if set1.n != set2.n:
-        raise ValueError("both sets must live in the same Z_n")
     c1 = steps(normalize_to_zero(set1))
     c2 = steps(normalize_to_zero(set2))
-    mu = interval_multiset(c1)
+    pair = ZPair(set1, set2, interval_multiset(c1))
     g = math.gcd(*c1.parts, *c2.parts)
     if g == 1:
-        return ZPair(set1, set2, mu)
-    try:
-        base = classify_pair(_downscale(set1, g), _downscale(set2, g))
-    except ValueError:
-        # The base fails exactly when the input does: name the caller's sets.
-        ZPair(set1, set2, mu)
-        raise
-    return ZPair(set1, set2, mu, g, base)
+        return pair
+    base = classify_pair(_downscale(set1, g), _downscale(set2, g))
+    return ZPair(set1, set2, pair.mu, g, base)
 
 
 def _downscale(pcs: PitchClassSet, d: int) -> PitchClassSet:

@@ -121,6 +121,12 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
             )
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a worker count that is not an integer >= 1, before any work."""
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _bracelet_count(n: int, k: int) -> int:
     """Rotation/reversal classes of k-subsets of Z_n: binary bracelets (Burnside).
 
@@ -229,7 +235,8 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     deterministic and independent of the worker count.
     """
     check_budget(n, [k])
-    groups = _class_groups(n, k, max(1, workers))
+    check_workers(workers)
+    groups = _class_groups(n, k, workers)
     found, expected = sum(map(len, groups.values())), _bracelet_count(n, k)
     if found != expected:
         raise RuntimeError(

@@ -323,6 +323,81 @@ def test_verify_failure_sets_exit_code(run_cli, monkeypatch):
     assert "0/1 checks passed" in out
 
 
+def _shift_one_count(counts):
+    # Move one interval-class count to the next class: same total, wrong vector.
+    i = next(i for i, c in enumerate(counts) if c)
+    moved = list(counts)
+    moved[i] -= 1
+    moved[(i + 1) % len(moved)] += 1
+    return tuple(moved)
+
+
+def _refuse_scaled_vectors(monkeypatch):
+    from zrel import construct
+    from zrel.core import IntervalVector
+
+    scaled = construct._scaled_vector
+    monkeypatch.setattr(
+        construct,
+        "_scaled_vector",
+        lambda mu, d: IntervalVector(mu.n * d, _shift_one_count(scaled(mu, d).counts)),
+    )
+
+
+def test_verify_reports_a_refused_scaling_as_a_failed_check(run_cli, monkeypatch):
+    _refuse_scaled_vectors(monkeypatch)
+    code, out, err = run_cli("verify", "scaling", "--threads", 1)
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL scaling suite  (scaled pair failed its Z-relation check")
+    assert out.endswith("0/1 checks passed\n")
+
+
+def test_verify_all_runs_every_suite_past_a_failing_one(run_cli, monkeypatch):
+    _refuse_scaled_vectors(monkeypatch)
+    code, out, err = run_cli("verify", "all", "--threads", 1)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL scaling suite  (")
+    for check in ("z12 pair total = 23", "z19 k=6 witness pair", "k4 construction sweep n=64"):
+        assert any(line.startswith(f"PASS {check}") for line in lines)
+    assert lines[-1] == "33/34 checks passed"
+
+
+def test_verify_reports_a_refused_k4_pair_as_a_failed_check(run_cli, monkeypatch):
+    from zrel import core
+
+    counts = core._interval_counts
+    monkeypatch.setattr(
+        core, "_interval_counts", lambda parts, n: _shift_one_count(counts(parts, n))
+    )
+    code, out, err = run_cli("verify", "k4", "--threads", 1)
+    assert (code, err) == (1, "")
+    assert out == (
+        "FAIL k4 suite  (stated interval vector does not match the members)\n"
+        "0/1 checks passed\n"
+    )
+
+
+def test_verify_reports_a_failed_class_count_as_a_failed_check(run_cli, monkeypatch):
+    from zrel import enumeration
+
+    groups = enumeration._class_groups
+
+    def drop_one_class(n, k, workers):
+        found = groups(n, k, workers)
+        first = next(iter(found))
+        found[first] = found[first][1:]
+        return found
+
+    monkeypatch.setattr(enumeration, "_class_groups", drop_one_class)
+    code, out, err = run_cli("verify", "z12", "--format", "json", "--threads", 1)
+    assert (code, err) == (1, "")
+    [row] = json.loads(out)["rows"]
+    assert (row["check"], row["status"]) == ("z12 suite", "fail")
+    assert "bracelet count is 12" in row["detail"]
+
+
 def test_verify_rejects_unknown_suite(run_cli):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "nonsense")
@@ -357,6 +432,7 @@ SNAPSHOTS = {
     "classify-24": ("classify", 24, "0,2,6,14", "0,2,8,12"),
     "k4-24-5": ("k4", 24, 5),
     "verify-k4": ("verify", "k4"),
+    "verify-all": ("verify", "all"),
 }
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import combinations
 
@@ -346,6 +348,37 @@ def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, run_cli):
     sizes.clear()
     code, _, _ = run_cli("table", 20, "--kmin", 4, "--kmax", 4, "--threads", 5000)
     assert code == 0 and sizes == [2]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_process_start_method_does_not_change_results(monkeypatch, method):
+    built = []
+
+    class MethodPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers, mp_context=multiprocessing.get_context(method))
+
+    want = realization_table(19, 6, workers=1)
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", MethodPool)
+    # Two CPUs, so a real two-worker pool starts even on a one-CPU host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert realization_table(19, 6, workers=2) == want
+    assert built == [2]
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.0])
+def test_library_refuses_a_bad_worker_count_before_enumerating(monkeypatch, workers):
+    from zrel.verify import run_suite
+
+    def refuse(*args):
+        raise AssertionError("enumerated before refusing the worker count")
+
+    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    with pytest.raises(ValueError, match=rf"workers must be an integer >= 1, got {workers!r}"):
+        realization_table(12, 4, workers)
+    with pytest.raises(ValueError, match="workers must be"):
+        run_suite("z12", workers)
 
 
 # ── budget ─────────────────────────────────────────────────────────────────
