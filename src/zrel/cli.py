@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .construct import ZPair, classify_pair, group_zpairs, k4_pair, scale_zpair, zpairs_of
@@ -24,6 +23,7 @@ from .core import PitchClassSet, normalize_to_zero, set_from_composition, steps
 from .enumeration import (
     BudgetExceededError,
     RealizationClass,
+    check_workers,
     k_min_search,
     summary,
     z_groups,
@@ -75,9 +75,7 @@ def _group_row(n: int, k: int, index: int, rc: RealizationClass) -> dict:
     ]
     pairs = [
         {"members": [i, j], "classification": _classification_row(pair)}
-        for (i, j), pair in zip(
-            combinations(range(len(members)), 2), group_zpairs(rc)
-        )
+        for i, j, pair in group_zpairs(rc)
     ]
     return {
         "index": index,
@@ -95,7 +93,7 @@ def _group_row(n: int, k: int, index: int, rc: RealizationClass) -> dict:
 
 def cmd_table(args) -> tuple[dict, int]:
     n = args.n
-    kmin = 2 if args.kmin is None else args.kmin
+    kmin = args.kmin
     kmax = n // 2 if args.kmax is None else args.kmax
     if not 2 <= kmin <= kmax <= n:
         raise ValueError(f"need 2 <= kmin <= kmax <= {n}, got kmin={kmin}, kmax={kmax}")
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="class/vector/Z counts per cardinality")
     p.add_argument("n", type=int)
-    p.add_argument("--kmin", type=int, default=None, help="lowest cardinality (default 2)")
+    p.add_argument("--kmin", type=int, default=2, help="lowest cardinality (default 2)")
     p.add_argument("--kmax", type=int, default=None, help="highest cardinality (default n//2)")
 
     p = sub.add_parser("zpairs", help="all Z-groups at one (n, k)")
@@ -385,10 +383,8 @@ COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
+        check_workers(args.threads)
         doc, code = COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,14 +62,7 @@ class ZPair:
         if self.scale < 1 or (self.scale == 1) != (self.base is None):
             raise ValueError("scale 1 carries no base; scale >= 2 requires one")
         if self.base is not None:
-            if self.base.n * self.scale != self.n:
-                raise ValueError("base modulus times scale must equal the modulus")
             for mine, theirs in ((self.set1, self.base.set1), (self.set2, self.base.set2)):
-                if any(e % self.scale for e in normalize_to_zero(mine).elements):
-                    raise ValueError(
-                        f"scale {self.scale} does not divide every step of "
-                        f"{mine.elements}"
-                    )
                 if not ti_equivalent(_downscale(mine, self.scale), theirs):
                     raise ValueError(
                         "dividing out the scale does not recover the base pair"
@@ -143,7 +136,10 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
 
 
 def _downscale(pcs: PitchClassSet, d: int) -> PitchClassSet:
+    """`pcs` rooted at 0, each element divided by d, in Z_{n/d}; d must divide every step."""
     rooted = normalize_to_zero(pcs)
+    if pcs.n % d or any(e % d for e in rooted.elements):
+        raise ValueError(f"scale {d} does not divide every step of {pcs.elements}")
     return PitchClassSet(pcs.n // d, tuple(e // d for e in rooted.elements))
 
 
@@ -168,20 +164,18 @@ def k4_pair(n: int, a: int) -> ZPair:
 
 def four_m_family(q: int) -> ZPair:
     """The offset-1 member of the k=4 construction: {0,1,q,2q+1} vs {0,1,q+1,2q} in Z_{4q}."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-        raise ValueError(f"family parameter must be an integer >= 2, got {q!r}")
     return k4_pair(4 * q, 1)
 
 
-def group_zpairs(group: RealizationClass) -> list[ZPair]:
-    """Every unordered pair of a Z-group's members, classified, in combinations order."""
-    members = [set_from_composition(c) for c in group.realizations]
-    return [classify_pair(s1, s2) for s1, s2 in combinations(members, 2)]
+def group_zpairs(group: RealizationClass) -> list[tuple[int, int, ZPair]]:
+    """(i, j, classified pair) for each pair i < j of realizations, in combinations order."""
+    pairs = combinations(enumerate(map(set_from_composition, group.realizations)), 2)
+    return [(i, j, classify_pair(s1, s2)) for (i, s1), (j, s2) in pairs]
 
 
 def zpairs_of(m: int, k: int, workers: int = 1) -> list[ZPair]:
     """Every Z-pair found by enumeration at (m, k), classified, in enumeration order."""
-    return [pair for group in z_groups(m, k, workers) for pair in group_zpairs(group)]
+    return [pair for group in z_groups(m, k, workers) for _, _, pair in group_zpairs(group)]
 
 
 def inherit(n: int, m: int, k: int, workers: int = 1) -> list[ZPair]:

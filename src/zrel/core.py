@@ -37,6 +37,8 @@ class PitchClassSet:
 
     def __post_init__(self) -> None:
         check_modulus(self.n)
+        if any(type(e) is not int for e in self.elements):
+            raise ValueError(f"pitch classes must be integers, got {tuple(self.elements)!r}")
         elems = tuple(sorted(self.elements))
         if not elems:
             raise ValueError("pitch-class set must be nonempty")

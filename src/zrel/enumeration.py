@@ -31,9 +31,9 @@ from typing import Iterable, Iterator
 from .core import Composition, IntervalVector, _interval_counts, check_modulus
 from .dihedral import is_canonical_parts
 
-# Largest composition stream any single enumeration may process.  Covers
-# desk scale (n <= 40, k <= 8); larger requests are refused up front so the
-# grouping store cannot grow past a few million entries.
+# Largest composition stream any single enumeration may process, and largest
+# grouping store (interval-class counts in the vector keys) of one cardinality.
+# Covers desk scale (n <= 40, k <= 8); larger requests are refused up front.
 COMPOSITION_BUDGET = 20_000_000
 
 
@@ -107,7 +107,9 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
     """The one guard of an enumeration request: refuse it before any work.
 
     Checks the modulus, then every cardinality, then the running total of
-    the composition stream against `COMPOSITION_BUDGET`.
+    the composition stream against `COMPOSITION_BUDGET`.  The same budget
+    bounds each k's grouping store, at most one key of n // 2 counts per
+    class; per k, because each k's table is dropped before the next is built.
     """
     check_modulus(n)
     ks = list(ks)
@@ -118,6 +120,13 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
             raise BudgetExceededError(
                 f"enumerating n={n}, k={ks} would stream at least {total} compositions "
                 f"(budget {COMPOSITION_BUDGET}); narrow the cardinality range"
+            )
+    for k in ks:
+        cells = _bracelet_count(n, k) * (n // 2)
+        if cells > COMPOSITION_BUDGET:
+            raise BudgetExceededError(
+                f"grouping n={n}, k={k} could store {cells} interval-class counts "
+                f"in its vector keys (budget {COMPOSITION_BUDGET}); lower n or k"
             )
 
 
@@ -278,6 +287,8 @@ def k_min_search(
     """
     check_modulus(n)
     hi = n // 2 if k_max is None else k_max
+    if type(hi) is not int:
+        raise ValueError(f"kmax must be an integer, got {hi!r}")
     if hi < 1:
         raise ValueError(f"kmax must be at least 1, got {hi}")
     if hi > n:

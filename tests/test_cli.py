@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from zrel import cli
+from zrel import cli, enumeration
+from zrel.construct import classify_pair
+from zrel.core import PitchClassSet
 
 GOLDEN_Z12 = [
     (3, 12, 12, 0),
@@ -89,6 +91,16 @@ def test_table_budget_refusal(run_cli):
     assert "budget" in err
 
 
+def test_table_refuses_an_oversized_grouping_store(run_cli, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated despite the budget")
+
+    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    code, out, err = run_cli("table", 65535, "--kmin", 2, "--kmax", 2)
+    assert (code, out) == (3, "")
+    assert "vector keys" in err
+
+
 def test_unknown_command_exits_2(run_cli):
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate", 12)
@@ -98,6 +110,15 @@ def test_unknown_command_exits_2(run_cli):
 def test_bad_threads_rejected(run_cli):
     code, _, _ = run_cli("table", 12, "--threads", 0)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [("k4", 12, 1), ("classify", 12, "0,1,3,7", "0,1,4,6")]
+)
+def test_bad_threads_get_the_library_refusal(run_cli, argv):
+    code, out, err = run_cli(*argv, "--threads", 0)
+    assert (code, out) == (2, "")
+    assert err == "error: workers must be an integer >= 1, got 0\n"
 
 
 def test_threads_default_to_one_worker():
@@ -122,6 +143,20 @@ def test_zpairs_z12_k4(run_cli):
     assert group["pairs"] == [
         {"members": [0, 1], "classification": {"kind": "primitive"}}
     ]
+
+
+def test_zpairs_rows_number_every_pair_of_a_larger_group(run_cli):
+    code, out, _ = run_cli("zpairs", 16, 6, "--format", "json", "--threads", 1)
+    assert code == 0
+    groups = [g for g in json.loads(out)["rows"] if len(g["members"]) == 3]
+    assert len(groups) == 3
+    for group in groups:
+        assert [p["members"] for p in group["pairs"]] == [[0, 1], [0, 2], [1, 2]]
+        sets = [PitchClassSet(16, tuple(m["set"])) for m in group["members"]]
+        for pair in group["pairs"]:
+            i, j = pair["members"]
+            want = cli._classification_row(classify_pair(sets[i], sets[j]))
+            assert pair["classification"] == want
 
 
 def test_zpairs_text_shows_sets(run_cli):

@@ -98,6 +98,36 @@ def test_zpair_rejects_non_z_related():
         )
 
 
+Z24_DERIVED = (PitchClassSet(24, (0, 2, 6, 14)), PitchClassSet(24, (0, 2, 8, 12)))
+Z12_BASE = classify_pair(*Z12_PAIR)
+
+
+def _derived_claim(sets, scale, base):
+    return ZPair(*sets, interval_multiset_brute(sets[0]), scale, base)
+
+
+def test_zpair_accepts_a_true_derived_claim():
+    assert _derived_claim(Z24_DERIVED, 2, Z12_BASE) == classify_pair(*Z24_DERIVED)
+
+
+@pytest.mark.parametrize(
+    "sets, scale, base",
+    [
+        # the steps of {0,1,6,13} are odd, so 2 divides none of them
+        ((PitchClassSet(24, (0, 1, 6, 13)), PitchClassSet(24, (0, 1, 7, 12))), 2, Z12_BASE),
+        # 8 * 2 != 24: the downscaled members live in Z_12, not Z_8
+        (Z24_DERIVED, 2, k4_pair(8, 1)),
+        # the base lists the members the other way round
+        (Z24_DERIVED, 2, classify_pair(Z12_PAIR[1], Z12_PAIR[0])),
+        (Z24_DERIVED, 1, Z12_BASE),
+        (Z24_DERIVED, 2, None),
+    ],
+)
+def test_zpair_refuses_a_bad_derived_claim(sets, scale, base):
+    with pytest.raises(ValueError):
+        _derived_claim(sets, scale, base)
+
+
 # ── scale_zpair ────────────────────────────────────────────────────────────
 
 
@@ -194,6 +224,12 @@ def test_four_m_family():
     assert pair.set2.elements == (0, 1, 6, 10)
     with pytest.raises(ValueError):
         four_m_family(1)
+
+
+@pytest.mark.parametrize("q", [1, 0, -2, True, 2.5])
+def test_four_m_family_refuses_a_bad_parameter(q):
+    with pytest.raises(ValueError):
+        four_m_family(q)
 
 
 # ── classify_pair ──────────────────────────────────────────────────────────

@@ -61,6 +61,12 @@ def test_pitch_class_set_sorts_and_validates():
         PitchClassSet(12, (-1, 3))
 
 
+@pytest.mark.parametrize("elements", [(0, 1.5, 3), (True, 3), (0, 3.0)])
+def test_pitch_class_set_refuses_non_integer_elements(elements):
+    with pytest.raises(ValueError, match="pitch classes must be integers"):
+        PitchClassSet(12, elements)
+
+
 def test_composition_validates_closure():
     with pytest.raises(ValueError):
         Composition(12, (3, 4, 4))

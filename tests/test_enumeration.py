@@ -306,6 +306,12 @@ def test_k_min_search_reports_the_searched_range_and_witness():
             k_min_search(12, k_max)
 
 
+@pytest.mark.parametrize("k_max", [True, 5.5, "6"])
+def test_k_min_search_refuses_a_non_integer_bound(k_max):
+    with pytest.raises(ValueError, match="kmax must be an integer"):
+        k_min_search(12, k_max)
+
+
 # ── parallel determinism ───────────────────────────────────────────────────
 
 
@@ -406,6 +412,25 @@ def test_library_entry_points_refuse_over_budget_without_enumerating(monkeypatch
     check_budget(40, [8])
     with pytest.raises(BudgetExceededError):
         summary(40, range(8, 10))
+
+
+def test_budget_bounds_the_grouping_store_without_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated despite the budget")
+
+    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    # Few compositions, but up to classes x n // 2 interval-class counts.
+    for call in (
+        lambda: realization_table(65535, 2),
+        lambda: summary(2000, [3]),
+        lambda: z_groups(495, 4),
+        lambda: k_min(300),
+    ):
+        with pytest.raises(BudgetExceededError, match="vector keys"):
+            call()
+    # The largest admitted store at each of k = 8, 6, 5, 4.
+    for n, k in [(40, 8), (64, 6), (101, 5), (210, 4)]:
+        check_budget(n, [k])
 
 
 @pytest.mark.parametrize("ks", [[4, 13], [0]])
