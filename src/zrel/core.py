@@ -164,13 +164,16 @@ def _ic_index(n: int) -> tuple[int, ...]:
     return tuple(min(d, n - d) - 1 for d in range(n))
 
 
-def _interval_counts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+def _interval_counts(parts: tuple[int, ...], n: int) -> bytes | tuple[int, ...]:
     # Additivity rule on raw tuples; shared with the enumeration fast path.
+    # Each element has at most two partners at any one distance, so no count
+    # exceeds k: up to k = 255 the counts pack as bytes, whose order is the
+    # order of the count sequences, and larger sets keep a tuple.
     index = _ic_index(n)
     counts = [0] * (n // 2)
     for a, b in combinations((0, *accumulate(parts[:-1])), 2):
         counts[index[b - a]] += 1
-    return tuple(counts)
+    return bytes(counts) if len(parts) <= 255 else tuple(counts)
 
 
 def interval_multiset(comp: Composition) -> IntervalVector:

@@ -1,22 +1,23 @@
 """Exhaustive enumeration of composition classes and Z-relation detection.
 
-A canonical composition starts with its minimum part, so for each first
-part s1 the pipeline streams only the compositions of n into k positive
-parts whose other parts are all at least s1, far fewer than all
-C(n-1, k-1).  It keeps the ones that equal their own canonical form
-(rejection canonicalization, one survivor per rotation/reversal class),
-checks their number against the closed-form bracelet count, and groups
-them by interval vector.  A class whose vector is shared by two or more
+A canonical composition starts with its minimum part and ends with a part
+no smaller than its second, so for each first part s1, second part s2 >= s1
+and last part >= s2 the pipeline streams only the middle parts, each at
+least s1: far fewer than all C(n-1, k-1) compositions.  It keeps the ones
+that equal their own canonical form (rejection canonicalization, one
+survivor per rotation/reversal class), checks their number against the
+closed-form bracelet count, and groups them by interval vector, packed as
+`bytes` while k <= 255.  A class whose vector is shared by two or more
 inequivalent compositions is a Z-group: its realizations are pairwise
 Z-related.
 
 The stream is partitioned by first part, so the map phase shares nothing
-and can run across worker processes.  Each task lists its compositions in
-lexicographic order, and no two tasks share an interval vector, so the
-reduction merges the task results in first-part order and sorts only the
-vector keys; the output is identical for any worker count.  The table keeps
-the kernel's raw tuples: `Composition` and `IntervalVector` objects are
-built, and validated, only when a caller reads them.
+and can run across worker processes.  Each task sorts its classes of two or
+more members, and no two tasks share an interval vector, so the reduction
+merges the task results in first-part order and sorts only the vector keys;
+the output is identical for any worker count.  The table keeps the kernel's
+raw keys and tuples: `Composition` and `IntervalVector` objects are built,
+and validated, only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ class RealizationClass:
     """All inequivalent canonical compositions realizing one interval vector.
 
     Holds the enumeration's raw data: the modulus `n`, the interval-class
-    `counts` and the `parts` tuple of each realization, sorted.  `mu` and
+    `counts` (the kernel's key: `bytes`, or a tuple of ints when k > 255)
+    and the `parts` tuple of each realization, sorted.  `mu` and
     `realizations` build their value objects through the validating
     constructors on every access, so counting classes builds none.
     """
 
     n: int
-    counts: tuple[int, ...]
+    counts: bytes | tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
 
     @property
@@ -177,22 +179,41 @@ def enumerate_compositions(n: int, k: int) -> Iterator[Composition]:
 # Workers receive one first part each.  A canonical composition starts with
 # its minimum part, so every survivor belongs to exactly one worker and the
 # reduce phase never sees duplicates.  First parts above n // k cannot start
-# a canonical composition at all and are skipped outright.  Worker s1
-# streams only the rests whose parts are all >= s1: the compositions of
-# n - s1 - (k-1)(s1-1) into k - 1 parts, each part raised by s1 - 1, which
-# keeps the lexicographic order of the rests.
+# a canonical composition at all and are skipped outright.  Its last part is
+# also at least its second, or the reversal read back from the first part
+# would be smaller, so worker s1 loops over the second part s2 >= s1 and the
+# last part last >= s2 and streams only the k - 3 middle parts, each >= s1:
+# the compositions of n - s1 - s2 - last - (k-3)(s1-1) into k - 3 parts,
+# each raised by s1 - 1.  That order is not lexicographic, so a class with
+# more than one member is sorted at the end.
 
 
 def _groups_for_first_part(
     task: tuple[int, int, int]
-) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+) -> dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]]:
     n, k, s1 = task
+    if k == 2:  # the second part is the last, and (s1, n - s1) is canonical
+        return {_interval_counts((s1, n - s1), n): ((s1, n - s1),)}
     shift = s1 - 1
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for rest in _raw_compositions(n - s1 - (k - 1) * shift, k - 1):
-        parts = (s1, *[r + shift for r in rest]) if shift else (s1, *rest)
-        if is_canonical_parts(parts):
-            groups.setdefault(_interval_counts(parts, n), []).append(parts)
+    middle = k - 3
+    groups: dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    for s2 in range(s1, (n - (k - 2) * s1) // 2 + 1):
+        head = (s1, s2)
+        room = n - s1 - s2 - middle * s1  # the largest possible last part
+        # With no middle parts the last part is whatever the first two leave.
+        for last in range(s2, room + 1) if middle else (room,):
+            tail = (last,)
+            rests = _raw_compositions(room - last + middle, middle) if middle else [()]
+            for rest in rests:
+                if shift:
+                    rest = tuple([r + shift for r in rest])
+                parts = head + rest + tail
+                if is_canonical_parts(parts):
+                    key = _interval_counts(parts, n)
+                    groups[key] = groups.get(key, ()) + (parts,)
+    for key, group in groups.items():
+        if len(group) > 1:
+            groups[key] = tuple(sorted(group))
     return groups
 
 
@@ -212,19 +233,20 @@ def _run_tasks(tasks: list[tuple[int, int, int]], workers: int) -> list:
 
 def _class_groups(
     n: int, k: int, workers: int
-) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+) -> dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]]:
     if k == 1:
-        return {(0,) * (n // 2): [(n,)]}
+        return {bytes(n // 2): ((n,),)}
     tasks = [(n, k, s1) for s1 in range(1, n // k + 1)]
     # A canonical composition starts with its smallest step, which is also
     # the smallest interval class its vector counts, so no two tasks share a
-    # vector: each list comes whole from one task, in lexicographic order,
-    # and only the keys need sorting.  (A shared key would lose classes, and
-    # the bracelet check in realization_table would refuse the result.)
-    merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for groups in _run_tasks(tasks, workers):
+    # vector: each class comes whole from one task, which sorted it, and the
+    # tasks merge into the first, largest one; realization_table sorts the
+    # keys.  (A shared key would lose classes, and the bracelet check in
+    # realization_table would refuse the result.)
+    merged, *others = _run_tasks(tasks, workers)
+    for groups in others:
         merged.update(groups)
-    return {key: merged[key] for key in sorted(merged)}
+    return merged
 
 
 # ── public operations ─────────────────────────────────────────────────────
@@ -239,9 +261,10 @@ def enumerate_classes(n: int, k: int, workers: int = 1) -> list[Composition]:
 def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass]:
     """Canonical composition classes grouped by interval vector.
 
-    Classes are sorted by vector (lexicographic on the count sequence) and
-    each class's realizations are sorted lexicographically, so the result is
-    deterministic and independent of the worker count.
+    Classes are sorted by vector (lexicographic on the count sequence, which
+    is also the order of the `bytes` keys) and each class's realizations are
+    sorted lexicographically, so the result is deterministic and independent
+    of the worker count.
     """
     check_budget(n, [k])
     check_workers(workers)
@@ -252,7 +275,7 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
             f"enumeration of n={n}, k={k} kept {found} classes, "
             f"but the closed-form bracelet count is {expected}"
         )
-    return [RealizationClass(n, key, tuple(comps)) for key, comps in groups.items()]
+    return [RealizationClass(n, key, groups[key]) for key in sorted(groups)]
 
 
 def z_groups(n: int, k: int, workers: int = 1) -> list[RealizationClass]:

@@ -10,7 +10,13 @@ from itertools import combinations
 import pytest
 
 from zrel import enumeration
-from zrel.core import Composition, IntervalVector, interval_multiset
+from zrel.core import (
+    Composition,
+    IntervalVector,
+    interval_multiset,
+    interval_multiset_brute,
+    set_from_composition,
+)
 from zrel.dihedral import canonical, equivalent, is_canonical
 from zrel.enumeration import (
     BudgetExceededError,
@@ -244,6 +250,21 @@ def test_realization_class_validates_on_access():
         RealizationClass(12, counts, ((1, 2, 3),)).realizations
     with pytest.raises(ValueError, match="expected 6 interval-class counts"):
         RealizationClass(12, counts[:-1], ((1, 1, 1, 9),)).mu
+
+
+def test_vector_keys_fall_back_to_tuples_above_255_parts(run_cli):
+    # Z_258 minus one point: 256 intervals in each class 1..128, too many for
+    # a byte, and the budget admits it.
+    (rc,) = realization_table(258, 257)
+    assert rc.parts == ((1,) * 256 + (2,),)
+    assert isinstance(rc.counts, tuple) and max(rc.counts) == 256
+    assert rc.mu == interval_multiset_brute(set_from_composition(rc.realizations[0]))
+    assert rc.mu.counts == (256,) * 128 + (128,)
+    (rc,) = realization_table(256, 255)
+    assert rc.counts == bytes((254,) * 127 + (127,))
+    code, out, err = run_cli("table", 258, "--kmin", 257, "--kmax", 257)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].split() == ["257", "1", "1", "0"]
 
 
 # ── z_groups / summary / z_pair_count ─────────────────────────────────────
