@@ -189,13 +189,20 @@ def interval_multiset(comp: Composition) -> IntervalVector:
 
 
 def interval_multiset_brute(pcs: PitchClassSet) -> IntervalVector:
-    """Pairwise oracle: ic over every unordered element pair, bypassing steps."""
+    """Pairwise oracle: ic over every unordered element pair, bypassing steps.
+
+    The set's constructor is its one validation: it has checked the modulus
+    and that the elements are distinct integers in [0, n), and sorted them,
+    so each pair p < q has 0 < q - p < n and its class is read off inline.
+    """
     if len(pcs) < 2:
         raise ValueError("interval multiset needs at least two pitch classes")
-    counts = [0] * (pcs.n // 2)
+    n = pcs.n
+    counts = [0] * (n // 2)
     for p, q in combinations(pcs.elements, 2):
-        counts[interval_class(p, q, pcs.n) - 1] += 1
-    return IntervalVector(pcs.n, tuple(counts))
+        d = q - p
+        counts[min(d, n - d) - 1] += 1
+    return IntervalVector(n, tuple(counts))
 
 
 def dft_magnitudes(pcs: PitchClassSet) -> list[float]:

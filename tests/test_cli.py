@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -437,6 +438,60 @@ def test_verify_rejects_unknown_suite(run_cli):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "nonsense")
     assert exc.value.code == 2
+
+
+# ── JSON rendering ─────────────────────────────────────────────────────────
+
+
+def _document(*argv):
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    doc, _ = cli.COMMANDS[args.command](args)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", 12, "--kmin", 3, "--kmax", 9),
+        ("zpairs", 16, 6),  # groups with R = 3
+        ("zpairs", 12, 3),  # no rows: no Z-pair at k = 3
+        ("scale", 13, 2, 4),  # nested base rows
+        ("kmin", 12),
+        ("kmin", 10, "--kmax", 4),  # a null witness
+        ("k4", 24, 2),
+        ("classify", 19, "0,1,2,3,6,10", "0,1,2,4,5,11"),
+        ("verify", "all"),
+    ],
+)
+def test_json_render_is_the_stdlib_indented_dump(argv):
+    doc = _document(*argv)
+    assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_render_matches_the_stdlib_on_every_value_kind():
+    doc = {
+        "empty": [[], {}, ""],
+        "scalars": [0, -1, 2.5, 1e300, True, False, None, "a\"b\u00e9\n"],
+        "tuple": (1, (2, 3), {"x": ()}),
+        "flat": {"n": 1, "s": "t", "f": 0.1},
+        "mixed": [1, [2], {"k": [None]}],
+    }
+    assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli.render({1: [2]}, "json")
+
+
+def test_json_render_peak_memory_stays_near_the_output_size():
+    # json.dumps(indent=2) keeps every token in a list: 6.8x the output.
+    doc = _document("zpairs", 30, 6)
+    tracemalloc.start()
+    try:
+        out = cli.render(doc, "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) > 500_000
+    assert peak <= 3.5 * len(out)
 
 
 # ── determinism ────────────────────────────────────────────────────────────

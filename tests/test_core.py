@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from zrel import core
 from zrel.core import (
@@ -212,6 +212,24 @@ def test_interval_multiset_brute_examples():
     ).counts == (3, 2, 2, 2, 1, 1, 1, 1, 2)
     with pytest.raises(ValueError):
         interval_multiset_brute(PitchClassSet(12, (5,)))
+
+
+@st.composite
+def pitch_class_sets(draw):
+    n = draw(st.integers(3, 64))
+    elements = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))
+    return n, elements
+
+
+@given(pitch_class_sets())
+@example((64, {0, 32}))
+@example((12, {0, 3, 6, 9}))
+@example((3, {0, 1, 2}))
+def test_interval_multiset_brute_matches_a_written_out_pairwise_count(case):
+    # The even-n examples hold the n/2 class, counted once per pair.
+    n, elements = case
+    got = interval_multiset_brute(PitchClassSet(n, tuple(elements)))
+    assert got.counts == brute_counts(elements, n)
 
 
 def test_oracle_equivalence_small_exhaustive():
