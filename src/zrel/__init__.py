@@ -9,7 +9,6 @@ scaling and the k=4 construction.
 from .construct import (
     ZPair,
     classify_pair,
-    four_m_family,
     inherit,
     k4_pair,
     scale_set,
@@ -23,7 +22,6 @@ from .core import (
     PitchClassSet,
     check_modulus,
     dft_magnitudes,
-    interval_class,
     interval_multiset,
     interval_multiset_brute,
     normalize_to_zero,
@@ -33,8 +31,6 @@ from .core import (
 from .dihedral import (
     canonical,
     equivalent,
-    is_canonical,
-    rotations_and_reversals,
     ti_equivalent,
 )
 from .enumeration import (
@@ -42,13 +38,10 @@ from .enumeration import (
     RealizationClass,
     SummaryRow,
     composition_count,
-    enumerate_classes,
-    enumerate_compositions,
-    k_min,
+    k_min_search,
     realization_table,
     summary,
     z_groups,
-    z_pair_count,
 )
 
 __version__ = "0.1.0"
@@ -67,20 +60,14 @@ __all__ = [
     "classify_pair",
     "composition_count",
     "dft_magnitudes",
-    "enumerate_classes",
-    "enumerate_compositions",
     "equivalent",
-    "four_m_family",
     "inherit",
-    "interval_class",
     "interval_multiset",
     "interval_multiset_brute",
-    "is_canonical",
     "k4_pair",
-    "k_min",
+    "k_min_search",
     "normalize_to_zero",
     "realization_table",
-    "rotations_and_reversals",
     "scale_set",
     "scale_zpair",
     "set_from_composition",
@@ -88,6 +75,5 @@ __all__ = [
     "summary",
     "ti_equivalent",
     "z_groups",
-    "z_pair_count",
     "zpairs_of",
 ]

@@ -162,11 +162,6 @@ def k4_pair(n: int, a: int) -> ZPair:
     return classify_pair(p1, p2)
 
 
-def four_m_family(q: int) -> ZPair:
-    """The offset-1 member of the k=4 construction: {0,1,q,2q+1} vs {0,1,q+1,2q} in Z_{4q}."""
-    return k4_pair(4 * q, 1)
-
-
 def group_zpairs(group: RealizationClass) -> list[tuple[int, int, ZPair]]:
     """(i, j, classified pair) for each pair i < j of realizations, in combinations order."""
     pairs = combinations(enumerate(map(set_from_composition, group.realizations)), 2)

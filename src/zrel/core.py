@@ -37,17 +37,16 @@ class PitchClassSet:
 
     def __post_init__(self) -> None:
         check_modulus(self.n)
-        if any(type(e) is not int for e in self.elements):
-            raise ValueError(f"pitch classes must be integers, got {tuple(self.elements)!r}")
-        elems = tuple(sorted(self.elements))
+        given = tuple(self.elements)
+        if any(type(e) is not int for e in given):
+            raise ValueError(f"pitch classes must be integers, got {given!r}")
+        elems = tuple(sorted(given))
         if not elems:
             raise ValueError("pitch-class set must be nonempty")
         if len(set(elems)) != len(elems):
-            raise ValueError(f"duplicate pitch classes in {tuple(self.elements)!r}")
+            raise ValueError(f"duplicate pitch classes in {given!r}")
         if elems[0] < 0 or elems[-1] >= self.n:
-            raise ValueError(
-                f"pitch classes must lie in [0, {self.n}), got {tuple(self.elements)!r}"
-            )
+            raise ValueError(f"pitch classes must lie in [0, {self.n}), got {given!r}")
         object.__setattr__(self, "elements", elems)
 
     def __len__(self) -> int:
@@ -115,21 +114,6 @@ class IntervalVector:
         return tuple(
             ic for ic, c in enumerate(self.counts, start=1) for _ in range(c)
         )
-
-
-def interval_class(p: int, q: int, n: int) -> int:
-    """Undirected circular distance min(|p - q|, n - |p - q|), in 1..n//2.
-
-    Rejects p == q: sets have distinct elements, and a zero class would
-    corrupt interval-vector indexing.
-    """
-    check_modulus(n)
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"pitch classes must lie in [0, {n}), got {p}, {q}")
-    if p == q:
-        raise ValueError(f"interval class undefined for equal pitch classes ({p})")
-    d = abs(p - q)
-    return min(d, n - d)
 
 
 def normalize_to_zero(pcs: PitchClassSet) -> PitchClassSet:

@@ -12,20 +12,14 @@ from __future__ import annotations
 from .core import Composition, PitchClassSet, normalize_to_zero, steps
 
 
-def _rotations(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    doubled = parts + parts
-    k = len(parts)
-    return [doubled[i : i + k] for i in range(k)]
-
-
-def candidate_parts(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The 2k orbit candidates: rotations of parts, then of reversed parts."""
-    return _rotations(parts) + _rotations(parts[::-1])
-
-
 def canonical_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least of the 2k rotations and reflections."""
-    return min(candidate_parts(parts))
+    # One min over one list of all 2k slices: a generator of nested mins is slower.
+    k = len(parts)
+    doubled = parts + parts
+    reversed_doubled = doubled[::-1]
+    rotations = [doubled[i : i + k] for i in range(k)]
+    return min(rotations + [reversed_doubled[i : i + k] for i in range(k)])
 
 
 def is_canonical_parts(parts: tuple[int, ...]) -> bool:
@@ -53,14 +47,6 @@ def is_canonical_parts(parts: tuple[int, ...]) -> bool:
             return False
 
 
-def rotations_and_reversals(comp: Composition) -> list[Composition]:
-    """All k rotations followed by all k rotations of the reversal.
-
-    May contain duplicates when the composition is symmetric.
-    """
-    return [Composition(comp.n, p) for p in candidate_parts(comp.parts)]
-
-
 def canonical(comp: Composition) -> Composition:
     """Orbit representative: the lexicographic minimum over all 2k candidates.
 
@@ -68,11 +54,6 @@ def canonical(comp: Composition) -> Composition:
     same rotation/reversal orbit.
     """
     return Composition(comp.n, canonical_parts(comp.parts))
-
-
-def is_canonical(comp: Composition) -> bool:
-    """True if the composition already is its own canonical form."""
-    return is_canonical_parts(comp.parts)
 
 
 def equivalent(c1: Composition, c2: Composition) -> bool:

@@ -167,14 +167,6 @@ def _raw_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
-def enumerate_compositions(n: int, k: int) -> Iterator[Composition]:
-    """Every composition of n into k positive parts, once, in lex order."""
-    check_modulus(n)
-    _check_k(n, k)
-    for parts in _raw_compositions(n, k):
-        yield Composition(n, parts)
-
-
 # ── map phase ─────────────────────────────────────────────────────────────
 # Workers receive one first part each.  A canonical composition starts with
 # its minimum part, so every survivor belongs to exactly one worker and the
@@ -252,12 +244,6 @@ def _class_groups(
 # ── public operations ─────────────────────────────────────────────────────
 
 
-def enumerate_classes(n: int, k: int, workers: int = 1) -> list[Composition]:
-    """One canonical representative per rotation/reversal class, sorted."""
-    table = realization_table(n, k, workers)
-    return [Composition(n, p) for p in sorted(p for rc in table for p in rc.parts)]
-
-
 def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass]:
     """Canonical composition classes grouped by interval vector.
 
@@ -288,13 +274,6 @@ def summary(n: int, ks: Iterable[int], workers: int = 1) -> list[SummaryRow]:
     ks = list(ks)
     check_budget(n, ks)
     return [SummaryRow.of(n, k, realization_table(n, k, workers)) for k in ks]
-
-
-def z_pair_count(n: int, k: int, workers: int = 1) -> int:
-    """Number of unordered Z-related pairs at (n, k): sum of C(R, 2) over groups."""
-    return sum(
-        math.comb(rc.realization_number, 2) for rc in z_groups(n, k, workers)
-    )
 
 
 def k_min_search(
@@ -333,8 +312,3 @@ def k_min_search(
         if groups:
             return k, k, groups[0]
     return None, hi, None
-
-
-def k_min(n: int, k_max: int | None = None, workers: int = 1) -> int | None:
-    """Smallest cardinality in [4, k_max] admitting a Z-pair, or None."""
-    return k_min_search(n, k_max, workers)[0]

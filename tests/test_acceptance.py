@@ -23,7 +23,7 @@ from zrel.core import (
     steps,
 )
 from zrel.dihedral import ti_equivalent
-from zrel.enumeration import k_min, realization_table, z_groups, z_pair_count
+from zrel.enumeration import k_min_search, realization_table, z_groups
 
 GOLDEN_Z12 = [
     (3, 12, 12, 0),
@@ -60,7 +60,9 @@ def test_criterion_01_z12_golden_table(run_cli):
         (r["k"], r["ti_classes"], r["multisets"], r["nonreconstructible"])
         for r in rows
     ] == GOLDEN_Z12
-    total = sum(z_pair_count(12, k) for k in range(3, 10))
+    total = sum(
+        math.comb(rc.realization_number, 2) for k in range(3, 10) for rc in z_groups(12, k)
+    )
     assert total == 23
     assert elapsed < 1.0
     print(f"PASS criterion 1: Z12 golden table exact, 23 pairs, {elapsed:.3f}s")
@@ -172,10 +174,10 @@ def test_criterion_09_k4_construction_sweep():
 
 def test_criterion_10_k_min_spot_checks():
     for n in (8, 12, 16, 20, 24, 26):
-        assert k_min(n) == 4
+        assert k_min_search(n)[0] == 4
     for n in (10, 14, 18, 22, 30):
-        assert k_min(n, k_max=4) is None
-    assert k_min(19) == 6
+        assert k_min_search(n, k_max=4)[0] is None
+    assert k_min_search(19)[0] == 6
     print("PASS criterion 10: k_min spot checks (4 | n plus 26; none at k=4 for 2 mod 4; 19 -> 6)")
 
 

@@ -9,7 +9,6 @@ from zrel import core
 from zrel.construct import (
     ZPair,
     classify_pair,
-    four_m_family,
     inherit,
     k4_pair,
     scale_set,
@@ -181,7 +180,7 @@ def test_scaling_preserves_z_relation_small_sweep():
                     assert not ti_equivalent(scaled.set1, scaled.set2)
 
 
-# ── k4_pair / four_m_family ────────────────────────────────────────────────
+# ── k4_pair ────────────────────────────────────────────────────────────────
 
 
 def test_k4_pair_z12():
@@ -217,19 +216,12 @@ def test_k4_pair_rejects_bad_input():
 
 
 def test_four_m_family():
-    assert four_m_family(3) == k4_pair(12, 1)
-    assert four_m_family(2) == k4_pair(8, 1)
-    pair = four_m_family(5)
-    assert pair.set1.elements == (0, 1, 5, 11)
-    assert pair.set2.elements == (0, 1, 6, 10)
-    with pytest.raises(ValueError):
-        four_m_family(1)
-
-
-@pytest.mark.parametrize("q", [1, 0, -2, True, 2.5])
-def test_four_m_family_refuses_a_bad_parameter(q):
-    with pytest.raises(ValueError):
-        four_m_family(q)
+    # Offset 1 in Z_4q: {0, 1, q, 2q + 1} against {0, 1, q + 1, 2q}.
+    for q in range(2, 12):
+        pair = k4_pair(4 * q, 1)
+        assert pair.set1.elements == (0, 1, q, 2 * q + 1)
+        assert pair.set2.elements == (0, 1, q + 1, 2 * q)
+        assert pair.is_primitive
 
 
 # ── classify_pair ──────────────────────────────────────────────────────────
@@ -384,13 +376,13 @@ def test_inherit_rejects_non_divisor():
 
 
 def test_k_min_spot_checks():
-    from zrel.enumeration import k_min
+    from zrel.enumeration import k_min_search
 
     for n in (8, 12, 16, 20, 24, 26):
-        assert k_min(n) == 4
+        assert k_min_search(n)[0] == 4
     for n in (10, 14, 18, 22, 30):
-        assert k_min(n, k_max=4) is None
-    assert k_min(19) == 6
+        assert k_min_search(n, k_max=4)[0] is None
+    assert k_min_search(19)[0] == 6
 
 
 def test_k4_primitivity_criterion_sweep():

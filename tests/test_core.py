@@ -11,7 +11,6 @@ from zrel.core import (
     IntervalVector,
     PitchClassSet,
     dft_magnitudes,
-    interval_class,
     interval_multiset,
     interval_multiset_brute,
     normalize_to_zero,
@@ -67,6 +66,12 @@ def test_pitch_class_set_refuses_non_integer_elements(elements):
         PitchClassSet(12, elements)
 
 
+def test_pitch_class_set_reads_a_one_shot_iterable_once():
+    assert PitchClassSet(12, (e for e in (7, 0, 4))).elements == (0, 4, 7)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 12\), got \(0, 12\)"):
+        PitchClassSet(12, (e for e in (0, 12)))
+
+
 def test_composition_validates_closure():
     with pytest.raises(ValueError):
         Composition(12, (3, 4, 4))
@@ -84,37 +89,6 @@ def test_interval_vector_shape():
         IntervalVector(12, (1, 1, 1))
     with pytest.raises(ValueError):
         IntervalVector(12, (1, -1, 0, 0, 0, 0))
-
-
-# ── interval_class ─────────────────────────────────────────────────────────
-
-
-@pytest.mark.parametrize(
-    "p,q,n,want",
-    [(0, 7, 12, 5), (0, 6, 12, 6), (2, 1, 12, 1)],
-)
-def test_interval_class_examples(p, q, n, want):
-    assert interval_class(p, q, n) == want
-
-
-def test_interval_class_rejects_equal_and_out_of_range():
-    with pytest.raises(ValueError):
-        interval_class(3, 3, 12)
-    with pytest.raises(ValueError):
-        interval_class(0, 12, 12)
-    with pytest.raises(ValueError):
-        interval_class(-1, 3, 12)
-
-
-def test_interval_class_symmetric_and_bounded():
-    for n in range(3, 12):
-        for p in range(n):
-            for q in range(n):
-                if p == q:
-                    continue
-                ic = interval_class(p, q, n)
-                assert ic == interval_class(q, p, n)
-                assert 1 <= ic <= n // 2
 
 
 # ── steps / set_from_composition / normalize_to_zero ──────────────────────

@@ -10,9 +10,7 @@ from zrel.dihedral import (
     canonical,
     canonical_parts,
     equivalent,
-    is_canonical,
     is_canonical_parts,
-    rotations_and_reversals,
     ti_equivalent,
 )
 
@@ -41,38 +39,47 @@ def compositions(draw):
     return Composition(n, tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
-# ── rotations_and_reversals ────────────────────────────────────────────────
+def orbit(parts):
+    # Test-local oracle: the k rotations, then the k rotations of the reversal.
+    k = len(parts)
+    rotations = [parts[i:] + parts[:i] for i in range(k)]
+    return rotations + [r[::-1] for r in rotations]
+
+
+# ── the 2k orbit candidates ────────────────────────────────────────────────
 
 
 def test_orbit_of_triad_composition():
-    got = rotations_and_reversals(Composition(12, (3, 4, 5)))
-    assert len(got) == 6
-    assert {c.parts for c in got} == {
+    assert set(orbit((3, 4, 5))) == {
         (3, 4, 5), (4, 5, 3), (5, 3, 4), (5, 4, 3), (4, 3, 5), (3, 5, 4),
     }
+    assert canonical_parts((5, 3, 4)) == (3, 4, 5)
+    assert canonical_parts((5, 4, 3)) == (3, 4, 5)
 
 
 def test_orbit_of_symmetric_composition_collapses():
-    got = rotations_and_reversals(Composition(12, (4, 4, 4)))
-    assert len(got) == 6
-    assert {c.parts for c in got} == {(4, 4, 4)}
+    assert orbit((4, 4, 4)) == [(4, 4, 4)] * 6
+    assert canonical_parts((4, 4, 4)) == (4, 4, 4)
 
 
 def test_orbit_of_asymmetric_tetrachord():
     # All eight candidates listed by hand; none coincide.
-    got = [c.parts for c in rotations_and_reversals(Composition(12, (1, 2, 4, 5)))]
-    assert got == [
+    candidates = [
         (1, 2, 4, 5), (2, 4, 5, 1), (4, 5, 1, 2), (5, 1, 2, 4),
         (5, 4, 2, 1), (4, 2, 1, 5), (2, 1, 5, 4), (1, 5, 4, 2),
     ]
+    assert sorted(orbit((1, 2, 4, 5))) == sorted(candidates)
+    for parts in candidates:
+        assert canonical_parts(parts) == (1, 2, 4, 5)
 
 
 def test_orbit_size_divides_2k():
     for n in range(3, 13):
         for k in range(1, n + 1):
             for parts in all_compositions(n, k):
-                distinct = {c.parts for c in rotations_and_reversals(Composition(n, parts))}
+                distinct = set(orbit(parts))
                 assert (2 * k) % len(distinct) == 0
+                assert canonical_parts(parts) == min(distinct)
 
 
 # ── canonical ──────────────────────────────────────────────────────────────
@@ -94,8 +101,8 @@ def test_canonical_examples(parts, want):
 def test_canonical_idempotent_and_in_orbit(comp):
     rep = canonical(comp)
     assert canonical(rep) == rep
-    assert is_canonical(rep)
-    assert rep.parts in {c.parts for c in rotations_and_reversals(comp)}
+    assert is_canonical_parts(rep.parts)
+    assert rep.parts == min(orbit(comp.parts))
 
 
 # Small parts make repeated minima, ties between rotations and palindromes

@@ -17,20 +17,16 @@ from zrel.core import (
     interval_multiset_brute,
     set_from_composition,
 )
-from zrel.dihedral import canonical, equivalent, is_canonical
+from zrel.dihedral import canonical, equivalent, is_canonical_parts
 from zrel.enumeration import (
     BudgetExceededError,
     RealizationClass,
     check_budget,
     composition_count,
-    enumerate_classes,
-    enumerate_compositions,
-    k_min,
     k_min_search,
     realization_table,
     summary,
     z_groups,
-    z_pair_count,
 )
 
 GOLDEN_Z12 = [
@@ -44,39 +40,52 @@ GOLDEN_Z12 = [
 ]
 
 
-# ── enumerate_compositions ─────────────────────────────────────────────────
+def all_compositions(n: int, k: int) -> list[Composition]:
+    # Test-local oracle: the cut-point bijection, in lexicographic order.
+    comps = []
+    for cuts in combinations(range(1, n), k - 1):
+        bounds = (0, *cuts, n)
+        comps.append(Composition(n, tuple(b - a for a, b in zip(bounds, bounds[1:]))))
+    return comps
+
+
+def table_classes(n: int, k: int, workers: int = 1) -> list[Composition]:
+    """Every class representative of (n, k): the realization table, flattened."""
+    table = realization_table(n, k, workers)
+    return [Composition(n, p) for rc in table for p in rc.parts]
+
+
+def z_pair_count(n: int, k: int) -> int:
+    return sum(math.comb(rc.realization_number, 2) for rc in z_groups(n, k))
+
+
+# ── the kernel's composition stream ────────────────────────────────────────
 
 
 def test_composition_stream_counts():
-    assert sum(1 for _ in enumerate_compositions(12, 3)) == 55
+    assert sum(1 for _ in enumeration._raw_compositions(12, 3)) == 55
     assert composition_count(19, 6) == 8568
-    assert sum(1 for _ in enumerate_compositions(19, 6)) == 8568
+    assert sum(1 for _ in enumeration._raw_compositions(19, 6)) == 8568
 
 
 def test_composition_stream_small_listing():
-    got = [c.parts for c in enumerate_compositions(4, 2)]
-    assert got == [(1, 3), (2, 2), (3, 1)]
+    assert list(enumeration._raw_compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
+    assert list(enumeration._raw_compositions(4, 1)) == [(4,)]
 
 
 def test_composition_stream_lex_order_unique():
-    seen = [c.parts for c in enumerate_compositions(9, 4)]
+    seen = list(enumeration._raw_compositions(9, 4))
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen)) == composition_count(9, 4)
+    assert seen == [c.parts for c in all_compositions(9, 4)]
 
 
-def test_composition_stream_rejects_bad_k():
-    with pytest.raises(ValueError):
-        list(enumerate_compositions(12, 0))
-    with pytest.raises(ValueError):
-        list(enumerate_compositions(12, 13))
-
-
-# ── enumerate_classes ──────────────────────────────────────────────────────
+# ── class representatives ──────────────────────────────────────────────────
 
 
 @pytest.mark.parametrize("n,k,count", [(12, 3, 12), (12, 6, 50), (19, 5, 324)])
 def test_class_counts(n, k, count):
-    assert len(enumerate_classes(n, k)) == count
+    assert len(table_classes(n, k)) == count
 
 
 def _totient(d: int) -> int:
@@ -108,7 +117,7 @@ def test_class_counts_match_bracelet_closed_form():
         (n, k)
         for n in range(3, 19)
         for k in range(1, n + 1)
-        if len(enumerate_classes(n, k)) != _bracelet_count(n, k)
+        if len(table_classes(n, k)) != _bracelet_count(n, k)
     ]
     assert mismatches == []
 
@@ -129,8 +138,8 @@ def test_classes_match_canonical_forms_of_the_full_stream():
     # Oracle without the pruned stream: canonicalize every composition.
     for n in range(3, 17):
         for k in range(1, n + 1):
-            want = sorted({canonical(c) for c in enumerate_compositions(n, k)})
-            assert enumerate_classes(n, k) == want, (n, k)
+            want = sorted({canonical(c) for c in all_compositions(n, k)})
+            assert sorted(table_classes(n, k)) == want, (n, k)
 
 
 def test_table_refuses_a_kernel_that_drops_a_class(monkeypatch):
@@ -146,18 +155,18 @@ def test_table_refuses_a_kernel_that_drops_a_class(monkeypatch):
 
 
 def test_classes_are_canonical_sorted_and_complete():
-    classes = enumerate_classes(10, 4)
-    assert all(is_canonical(c) for c in classes)
-    assert classes == sorted(classes)
+    classes = table_classes(10, 4)
+    assert all(is_canonical_parts(c.parts) for c in classes)
+    assert len(set(classes)) == len(classes)
     # every composition is equivalent to exactly one representative
-    for comp in enumerate_compositions(10, 4):
+    for comp in all_compositions(10, 4):
         hits = [rep for rep in classes if equivalent(comp, rep)]
         assert len(hits) == 1
 
 
 def test_degenerate_cardinalities():
-    assert [c.parts for c in enumerate_classes(12, 1)] == [(12,)]
-    assert len(enumerate_classes(12, 2)) == 6
+    assert [c.parts for c in table_classes(12, 1)] == [(12,)]
+    assert len(table_classes(12, 2)) == 6
     row = summary(12, [1])[0]
     assert (row.ti_classes, row.multisets, row.nonreconstructible) == (1, 1, 0)
     assert z_groups(12, 2) == []
@@ -169,9 +178,7 @@ def test_degenerate_cardinalities():
 def test_table_conserves_classes_and_sorts():
     for n, k in [(12, 4), (12, 6), (10, 5)]:
         table = realization_table(n, k)
-        assert sum(rc.realization_number for rc in table) == len(
-            enumerate_classes(n, k)
-        )
+        assert sum(rc.realization_number for rc in table) == _bracelet_count(n, k)
         keys = [rc.mu.counts for rc in table]
         assert keys == sorted(keys)
         for rc in table:
@@ -203,7 +210,7 @@ def test_group_members_are_pairwise_z_related():
 def _eager_table(n: int, k: int) -> list[tuple[IntervalVector, tuple[Composition, ...]]]:
     # Oracle: canonicalize the full stream, group by vector, sort everything here.
     groups: dict[IntervalVector, list[Composition]] = {}
-    for comp in {canonical(c) for c in enumerate_compositions(n, k)}:
+    for comp in {canonical(c) for c in all_compositions(n, k)}:
         mu = interval_multiset(comp) if k > 1 else IntervalVector(n, (0,) * (n // 2))
         groups.setdefault(mu, []).append(comp)
     return [(mu, tuple(sorted(comps))) for mu, comps in sorted(groups.items())]
@@ -267,7 +274,7 @@ def test_vector_keys_fall_back_to_tuples_above_255_parts(run_cli):
     assert out.splitlines()[-1].split() == ["257", "1", "1", "0"]
 
 
-# ── z_groups / summary / z_pair_count ─────────────────────────────────────
+# ── z_groups / summary / Z-pair counts ─────────────────────────────────────
 
 
 def test_unique_z12_tetrachord_group():
@@ -305,15 +312,15 @@ def test_z_pair_counts():
     assert all(rc.realization_number == 2 for rc in z_groups(19, 7))
 
 
-# ── k_min ──────────────────────────────────────────────────────────────────
+# ── k_min_search ───────────────────────────────────────────────────────────
 
 
 def test_k_min_values():
-    assert k_min(12) == 4
-    assert k_min(19) == 6
-    assert k_min(10) == 5
-    assert k_min(30, k_max=4) is None
-    assert k_min(6) is None  # searches k=4..3, i.e. nothing
+    assert k_min_search(12)[0] == 4
+    assert k_min_search(19)[0] == 6
+    assert k_min_search(10)[0] == 5
+    assert k_min_search(30, k_max=4)[0] is None
+    assert k_min_search(6)[0] is None  # searches k=4..3, i.e. nothing
 
 
 def test_k_min_search_reports_the_searched_range_and_witness():
@@ -340,7 +347,7 @@ def test_worker_count_does_not_change_results():
     single = realization_table(19, 6, workers=1)
     assert realization_table(19, 6, workers=2) == single
     assert realization_table(19, 6, workers=3) == single
-    assert enumerate_classes(14, 5, workers=2) == enumerate_classes(14, 5, workers=1)
+    assert table_classes(14, 5, workers=2) == table_classes(14, 5, workers=1)
 
 
 def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, run_cli):
@@ -426,7 +433,7 @@ def test_library_entry_points_refuse_over_budget_without_enumerating(monkeypatch
 
     monkeypatch.setattr(enumeration, "_class_groups", refuse)
     with pytest.raises(BudgetExceededError, match="nothing searched"):
-        k_min(65535)
+        k_min_search(65535)
     with pytest.raises(BudgetExceededError):
         z_groups(100, 50)
     # k = 8 alone fits (15.4M), the range 8..9 does not (76.9M).
@@ -445,7 +452,7 @@ def test_budget_bounds_the_grouping_store_without_enumerating(monkeypatch):
         lambda: realization_table(65535, 2),
         lambda: summary(2000, [3]),
         lambda: z_groups(495, 4),
-        lambda: k_min(300),
+        lambda: k_min_search(300),
     ):
         with pytest.raises(BudgetExceededError, match="vector keys"):
             call()
