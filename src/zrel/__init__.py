@@ -20,6 +20,7 @@ from .core import (
     Composition,
     IntervalVector,
     PitchClassSet,
+    check_int,
     check_modulus,
     dft_magnitudes,
     interval_multiset,
@@ -56,6 +57,7 @@ __all__ = [
     "SummaryRow",
     "ZPair",
     "canonical",
+    "check_int",
     "check_modulus",
     "classify_pair",
     "composition_count",

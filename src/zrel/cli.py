@@ -20,11 +20,10 @@ from dataclasses import asdict
 from typing import Iterator, Sequence
 
 from .construct import ZPair, classify_pair, group_zpairs, k4_pair, scale_zpair, zpairs_of
-from .core import PitchClassSet, normalize_to_zero, set_from_composition, steps
+from .core import PitchClassSet, check_int, check_modulus, set_from_composition, steps
 from .enumeration import (
     BudgetExceededError,
     RealizationClass,
-    check_workers,
     k_min_search,
     summary,
     z_groups,
@@ -51,8 +50,8 @@ def _pair_row(pair: ZPair) -> dict:
         "n": pair.n,
         "set1": list(pair.set1.elements),
         "set2": list(pair.set2.elements),
-        "composition1": list(steps(normalize_to_zero(pair.set1)).parts),
-        "composition2": list(steps(normalize_to_zero(pair.set2)).parts),
+        "composition1": list(steps(pair.set1).parts),
+        "composition2": list(steps(pair.set2).parts),
         "mu_counts": list(pair.mu.counts),
         "mu_multiset": list(pair.mu.as_multiset()),
         "classification": _classification_row(pair),
@@ -93,20 +92,17 @@ def _group_row(n: int, k: int, index: int, rc: RealizationClass) -> dict:
 
 
 def cmd_table(args) -> tuple[dict, int]:
-    n = args.n
-    kmin = args.kmin
-    kmax = n // 2 if args.kmax is None else args.kmax
-    if not 2 <= kmin <= kmax <= n:
-        raise ValueError(f"need 2 <= kmin <= kmax <= {n}, got kmin={kmin}, kmax={kmax}")
+    n = check_modulus(args.n)
+    kmin = check_int("kmin", args.kmin, 2, n)
+    kmax = check_int("kmax", max(kmin, n // 2) if args.kmax is None else args.kmax, kmin, n)
     ks = range(kmin, kmax + 1)
     rows = [asdict(row) for row in summary(n, ks, args.threads)]
     return _doc("table", {"n": n, "kmin": kmin, "kmax": kmax}, rows), 0
 
 
 def cmd_zpairs(args) -> tuple[dict, int]:
-    n, k = args.n, args.k
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= {n}, got k={k}")
+    n = check_modulus(args.n)
+    k = check_int("k", args.k, 2, n)
     rows = [
         _group_row(n, k, i, rc)
         for i, rc in enumerate(z_groups(n, k, args.threads), start=1)
@@ -135,10 +131,8 @@ def cmd_k4(args) -> tuple[dict, int]:
 
 
 def cmd_scale(args) -> tuple[dict, int]:
-    if args.d < 1:
-        raise ValueError(f"scale factor must be >= 1, got {args.d}")
-    if not 2 <= args.k <= args.base_n:
-        raise ValueError(f"need 2 <= k <= {args.base_n}, got k={args.k}")
+    check_int("d", args.d, 1)
+    check_int("k", args.k, 2, check_modulus(args.base_n))
     pairs = [
         scale_zpair(p, args.d) for p in zpairs_of(args.base_n, args.k, args.threads)
     ]
@@ -356,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="class/vector/Z counts per cardinality")
     p.add_argument("n", type=int)
     p.add_argument("--kmin", type=int, default=2, help="lowest cardinality (default 2)")
-    p.add_argument("--kmax", type=int, default=None, help="highest cardinality (default n//2)")
+    p.add_argument(
+        "--kmax", type=int, default=None, help="highest cardinality (default max(kmin, n//2))"
+    )
 
     p = sub.add_parser("zpairs", help="all Z-groups at one (n, k)")
     p.add_argument("n", type=int)
@@ -419,7 +415,7 @@ COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        check_workers(args.threads)
+        check_int("workers", args.threads, 1)
         doc, code = COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

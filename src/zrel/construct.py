@@ -17,6 +17,8 @@ from itertools import combinations
 from .core import (
     IntervalVector,
     PitchClassSet,
+    check_int,
+    check_modulus,
     interval_multiset,
     interval_multiset_brute,
     normalize_to_zero,
@@ -83,8 +85,7 @@ def scale_set(pcs: PitchClassSet, d: int) -> PitchClassSet:
     Every interval class scales by exactly d, so the interval vector of the
     image is the original vector with classes multiplied by d.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {d!r}")
+    check_int("scale factor", d, 1)
     return PitchClassSet(pcs.n * d, tuple(p * d for p in pcs.elements))
 
 
@@ -125,8 +126,8 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
     checks it and the Z-relation against the direct pairwise scan, so the
     caller's pair is refused, by name, before any base is built.
     """
-    c1 = steps(normalize_to_zero(set1))
-    c2 = steps(normalize_to_zero(set2))
+    c1 = steps(set1)
+    c2 = steps(set2)
     pair = ZPair(set1, set2, interval_multiset(c1))
     g = math.gcd(*c1.parts, *c2.parts)
     if g == 1:
@@ -152,11 +153,10 @@ def k4_pair(n: int, a: int) -> ZPair:
     unchanged.  The pair is primitive exactly when gcd(a, m/2) == 1; the
     classification is computed from the sets rather than assumed.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n % 4 != 0 or n < 8:
+    if type(n) is not int or n % 4 != 0 or n < 8:
         raise ValueError(f"construction requires n divisible by 4 with n >= 8, got {n!r}")
     m = n // 2
-    if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a < m // 2:
-        raise ValueError(f"offset must satisfy 1 <= a < {m // 2}, got {a!r}")
+    check_int("offset a", a, 1, m // 2 - 1)
     p1 = PitchClassSet(n, (0, a, m // 2, m + a))
     p2 = PitchClassSet(n, (0, a, a + m // 2, m))
     return classify_pair(p1, p2)
@@ -178,6 +178,7 @@ def inherit(n: int, m: int, k: int, workers: int = 1) -> list[ZPair]:
 
     Returns one derived pair per pair of `zpairs_of(m, k)`, in its order.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or not 3 <= m < n or n % m != 0:
+    check_modulus(n)
+    if type(m) is not int or not 3 <= m < n or n % m != 0:
         raise ValueError(f"m must be a proper divisor of n with m >= 3, got m={m!r}, n={n}")
     return [scale_zpair(pair, n // m) for pair in zpairs_of(m, k, workers)]

@@ -19,13 +19,17 @@ from itertools import accumulate, combinations
 MAX_MODULUS = 65535
 
 
+def check_int(name: str, value: int, lo: int, hi: int | None = None) -> int:
+    """The one argument-range guard: a plain int (never a bool) in [lo, hi], or >= lo."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return value
+
+
 def check_modulus(n: int) -> int:
     """Validate a cyclic group order: an integer with 3 <= n <= 65535."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"modulus must be an integer, got {n!r}")
-    if not 3 <= n <= MAX_MODULUS:
-        raise ValueError(f"modulus must be in [3, {MAX_MODULUS}], got {n}")
-    return n
+    return check_int("modulus", n, 3, MAX_MODULUS)
 
 
 @dataclass(frozen=True, order=True)
@@ -58,10 +62,10 @@ class PitchClassSet:
 
 @dataclass(frozen=True, order=True)
 class Composition:
-    """Ordered positive parts summing to n: the steps of a set rooted at 0.
+    """Ordered positive parts summing to n: the steps of a set from its least element.
 
     The sum constraint is the closure property; the last part is the
-    wraparound step back to 0.
+    wraparound step back to the first element.
     """
 
     n: int
@@ -72,7 +76,7 @@ class Composition:
         parts = tuple(self.parts)
         if not parts:
             raise ValueError("composition must have at least one part")
-        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
+        if any(type(p) is not int or p < 1 for p in parts):
             raise ValueError(f"all parts must be positive integers, got {parts!r}")
         if sum(parts) != self.n:
             raise ValueError(f"parts {parts!r} sum to {sum(parts)}, not {self.n}")
@@ -101,7 +105,7 @@ class IntervalVector:
                 f"expected {self.n // 2} interval-class counts for n={self.n}, "
                 f"got {len(counts)}"
             )
-        if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts):
+        if any(type(c) is not int or c < 0 for c in counts):
             raise ValueError(f"counts must be non-negative integers, got {counts!r}")
         object.__setattr__(self, "counts", counts)
 
@@ -125,14 +129,13 @@ def normalize_to_zero(pcs: PitchClassSet) -> PitchClassSet:
 
 
 def steps(pcs: PitchClassSet) -> Composition:
-    """Consecutive differences of a 0-rooted set, including the wraparound step."""
+    """Consecutive differences read from the least element, with the wraparound step.
+
+    Transposition leaves them unchanged, so any set and its rooted form
+    `normalize_to_zero(pcs)` have the same steps.
+    """
     elems = pcs.elements
-    if elems[0] != 0:
-        raise ValueError(
-            f"steps require a set containing 0, got {elems!r}; "
-            "apply normalize_to_zero first"
-        )
-    parts = tuple(b - a for a, b in zip(elems, elems[1:])) + (pcs.n - elems[-1],)
+    parts = tuple(b - a for a, b in zip(elems, elems[1:])) + (pcs.n - elems[-1] + elems[0],)
     return Composition(pcs.n, parts)
 
 

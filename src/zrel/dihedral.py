@@ -9,7 +9,7 @@ testing for T/I classes.
 
 from __future__ import annotations
 
-from .core import Composition, PitchClassSet, normalize_to_zero, steps
+from .core import Composition, PitchClassSet, steps
 
 
 def canonical_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -69,7 +69,5 @@ def equivalent(c1: Composition, c2: Composition) -> bool:
 
 
 def ti_equivalent(p1: PitchClassSet, p2: PitchClassSet) -> bool:
-    """Transposition/inversion equivalence of sets, decided on compositions."""
-    if p1.n != p2.n or len(p1) != len(p2):
-        return False
-    return equivalent(steps(normalize_to_zero(p1)), steps(normalize_to_zero(p2)))
+    """Transposition/inversion equivalence of sets, decided on their steps."""
+    return equivalent(steps(p1), steps(p2))

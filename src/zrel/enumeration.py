@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
-from .core import Composition, IntervalVector, _interval_counts, check_modulus
+from .core import Composition, IntervalVector, _interval_counts, check_int, check_modulus
 from .dihedral import is_canonical_parts
 
 # Largest composition stream any single enumeration may process, and largest
@@ -100,11 +100,6 @@ def composition_count(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1)
 
 
-def _check_k(n: int, k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
-        raise ValueError(f"cardinality must be an integer in [1, {n}], got {k!r}")
-
-
 def check_budget(n: int, ks: Iterable[int]) -> None:
     """The one guard of an enumeration request: refuse it before any work.
 
@@ -114,9 +109,7 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
     class; per k, because each k's table is dropped before the next is built.
     """
     check_modulus(n)
-    ks = list(ks)
-    for k in ks:
-        _check_k(n, k)
+    ks = [check_int("cardinality", k, 1, n) for k in ks]
     for total in accumulate(composition_count(n, k) for k in ks):
         if total > COMPOSITION_BUDGET:
             raise BudgetExceededError(
@@ -130,12 +123,6 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
                 f"grouping n={n}, k={k} could store {cells} interval-class counts "
                 f"in its vector keys (budget {COMPOSITION_BUDGET}); lower n or k"
             )
-
-
-def check_workers(workers: int) -> None:
-    """Refuse a worker count that is not an integer >= 1, before any work."""
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _bracelet_count(n: int, k: int) -> int:
@@ -253,7 +240,7 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     of the worker count.
     """
     check_budget(n, [k])
-    check_workers(workers)
+    check_int("workers", workers, 1)
     groups = _class_groups(n, k, workers)
     found, expected = sum(map(len, groups.values())), _bracelet_count(n, k)
     if found != expected:
@@ -288,13 +275,7 @@ def k_min_search(
     explicit k_max in [1, n] to search further.  All k searched share one budget.
     """
     check_modulus(n)
-    hi = n // 2 if k_max is None else k_max
-    if type(hi) is not int:
-        raise ValueError(f"kmax must be an integer, got {hi!r}")
-    if hi < 1:
-        raise ValueError(f"kmax must be at least 1, got {hi}")
-    if hi > n:
-        raise ValueError(f"kmax cannot exceed n={n}, got {hi}")
+    hi = check_int("kmax", n // 2 if k_max is None else k_max, 1, n)
     spent = 0
     for k in range(4, hi + 1):
         spent += composition_count(n, k)

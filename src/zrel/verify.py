@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 from .construct import k4_pair, scale_zpair, zpairs_of
-from .core import PitchClassSet, dft_magnitudes, set_from_composition
+from .core import PitchClassSet, check_int, dft_magnitudes, set_from_composition
 from .dihedral import ti_equivalent
-from .enumeration import SummaryRow, check_workers, realization_table, summary, z_groups
+from .enumeration import SummaryRow, realization_table, summary, z_groups
 
 DFT_TOLERANCE = 1e-9
 
@@ -177,7 +177,7 @@ def run_suite(name: str, workers: int = 1) -> list[CheckResult]:
     that `ZPair` refuses or an enumeration that fails its bracelet count,
     adds one failing result named after the suite, and the others still run.
     """
-    check_workers(workers)
+    check_int("workers", workers, 1)
     if name != "all" and name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}"

@@ -86,6 +86,15 @@ def test_table_usage_errors(run_cli):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    ("argv", "ks"), [(("table", 3), [2]), (("table", 12, "--kmin", 8), [8])]
+)
+def test_table_kmax_defaults_to_at_least_kmin(run_cli, argv, ks):
+    code, out, err = run_cli(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert [row["k"] for row in json.loads(out)["rows"]] == ks
+
+
 def test_table_budget_refusal(run_cli):
     code, _, err = run_cli("table", 100, "--kmin", 40, "--kmax", 50)
     assert code == 3
@@ -227,7 +236,7 @@ def test_kmin_none_up_to_bound(run_cli):
 def test_kmin_rejects_kmax_below_one(run_cli, kmax):
     code, out, err = run_cli("kmin", 12, "--kmax", kmax, "--threads", 1)
     assert (code, out) == (2, "")
-    assert f"kmax must be at least 1, got {kmax}" in err
+    assert err == f"error: kmax must be an integer in [1, 12], got {kmax}\n"
 
 
 def test_kmin_budget_refusal(run_cli):

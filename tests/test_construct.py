@@ -372,6 +372,12 @@ def test_inherit_rejects_non_divisor():
         inherit(12, 12, 4)
 
 
+def test_inherit_refuses_a_modulus_above_the_bound():
+    # 3 divides 90000, so only the modulus check can refuse this request.
+    with pytest.raises(ValueError, match=r"modulus must be an integer in \[3, 65535\], got 90000$"):
+        inherit(90000, 3, 3)
+
+
 # ── k_min consequences of the constructions ───────────────────────────────
 
 

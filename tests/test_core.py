@@ -106,9 +106,16 @@ def test_steps_examples(n, elements, want):
     assert steps(PitchClassSet(n, elements)).parts == want
 
 
-def test_steps_rejects_missing_zero():
-    with pytest.raises(ValueError):
-        steps(PitchClassSet(12, (3, 6, 10)))
+@st.composite
+def pitch_class_sets(draw):
+    n = draw(st.integers(3, 40))
+    return PitchClassSet(n, draw(st.sets(st.integers(0, n - 1), min_size=1)))
+
+
+@given(pitch_class_sets())
+@example(PitchClassSet(12, (3, 6, 10)))
+def test_steps_read_any_set_from_its_least_element(pcs):
+    assert steps(pcs) == steps(normalize_to_zero(pcs))
 
 
 @pytest.mark.parametrize(
