@@ -24,6 +24,7 @@ from .core import PitchClassSet, check_int, check_modulus, set_from_composition,
 from .enumeration import (
     BudgetExceededError,
     RealizationClass,
+    k_min_bound,
     k_min_search,
     summary,
     z_groups,
@@ -121,8 +122,7 @@ def cmd_kmin(args) -> tuple[dict, int]:
             "witness": None if group is None else _group_row(n, found, 1, group),
         }
     ]
-    k_hi = n // 2 if args.kmax is None else args.kmax
-    return _doc("kmin", {"n": n, "kmax": k_hi}, rows), 0
+    return _doc("kmin", {"n": n, "kmax": k_min_bound(n, args.kmax)}, rows), 0
 
 
 def cmd_k4(args) -> tuple[dict, int]:

@@ -1,23 +1,26 @@
 """Exhaustive enumeration of composition classes and Z-relation detection.
 
 A canonical composition starts with its minimum part and ends with a part
-no smaller than its second, so for each first part s1, second part s2 >= s1
-and last part >= s2 the pipeline streams only the middle parts, each at
-least s1: far fewer than all C(n-1, k-1) compositions.  It keeps the ones
-that equal their own canonical form (rejection canonicalization, one
-survivor per rotation/reversal class), checks their number against the
-closed-form bracelet count, and groups them by interval vector, packed as
-`bytes` while k <= 255.  A class whose vector is shared by two or more
-inequivalent compositions is a Z-group: its realizations are pairwise
-Z-related.
+no smaller than its second, so for each first part s1 and second part
+s2 >= s1 the pipeline streams only the tails whose middle parts are at
+least s1 and whose last part is at least s2: far fewer than all
+C(n-1, k-1) compositions.  It keeps the ones that equal their own canonical
+form (rejection canonicalization, one survivor per rotation/reversal
+class), checks their number against the closed-form bracelet count, and
+groups them by interval vector, packed as `bytes` while k <= 255.  A class
+whose vector is shared by two or more inequivalent compositions is a
+Z-group: its realizations are pairwise Z-related.
 
 The stream is partitioned by first part, so the map phase shares nothing
-and can run across worker processes.  Each task sorts its classes of two or
-more members, and no two tasks share an interval vector, so the reduction
-merges the task results in first-part order and sorts only the vector keys;
-the output is identical for any worker count.  The table keeps the kernel's
-raw keys and tuples: `Composition` and `IntervalVector` objects are built,
-and validated, only when a caller reads them.
+and can run across worker processes.  No two tasks share an interval
+vector: a canonical composition starts with its smallest part, which is
+also the smallest interval class its vector counts, so each class comes
+whole from one task.  Each task streams its compositions in lexicographic
+order, so every class is already sorted; the reduction merges the task
+results and sorts only the vector keys, and the output is identical for
+any worker count.  The table keeps the kernel's raw keys and tuples: `Composition` and
+`IntervalVector` objects are built, and validated, only when a caller reads
+them.
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ from typing import Iterable, Iterator
 from .core import Composition, IntervalVector, _interval_counts, check_int, check_modulus
 from .dihedral import is_canonical_parts
 
-# Largest composition stream any single enumeration may process, and largest
-# grouping store (interval-class counts in the vector keys) of one cardinality.
-# Covers desk scale (n <= 40, k <= 8); larger requests are refused up front.
+# Largest cost any single enumeration may incur, and largest grouping store
+# (interval-class counts in the vector keys) of one cardinality.  Covers desk
+# scale (n <= 40, k <= 8); larger requests are refused up front.
 COMPOSITION_BUDGET = 20_000_000
 
 
 class BudgetExceededError(Exception):
-    """An enumeration request would stream more compositions than the budget."""
+    """An enumeration request would cost more than the budget."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,17 +107,23 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
     """The one guard of an enumeration request: refuse it before any work.
 
     Checks the modulus, then every cardinality, then the running total of
-    the composition stream against `COMPOSITION_BUDGET`.  The same budget
-    bounds each k's grouping store, at most one key of n // 2 counts per
-    class; per k, because each k's table is dropped before the next is built.
+    the cost against `COMPOSITION_BUDGET`.  Each composition of k parts costs
+    one unit, and (k / 13) ** 3 units when k > 13: the kernel spends O(k)
+    building a candidate and up to O(k^2) canonicalizing it.  No request
+    with 13 < k <= n // 2 fits anyway, since C(27, 13) exceeds the budget.
+    The same budget bounds each k's grouping store, at most one key of n // 2
+    counts per class; per k, because each k's table is dropped before the
+    next is built.
     """
     check_modulus(n)
     ks = [check_int("cardinality", k, 1, n) for k in ks]
-    for total in accumulate(composition_count(n, k) for k in ks):
+    costs = (composition_count(n, k) * max(k, 13) ** 3 // 13**3 for k in ks)
+    for total in accumulate(costs):
         if total > COMPOSITION_BUDGET:
             raise BudgetExceededError(
-                f"enumerating n={n}, k={ks} would stream at least {total} compositions "
-                f"(budget {COMPOSITION_BUDGET}); narrow the cardinality range"
+                f"enumerating n={n}, k={ks} would cost at least {total} units, at "
+                f"max(1, (k/13)**3) per composition (budget {COMPOSITION_BUDGET}); "
+                "narrow the cardinality range"
             )
     for k in ks:
         cells = _bracelet_count(n, k) * (n // 2)
@@ -141,30 +150,28 @@ def _bracelet_count(n: int, k: int) -> int:
     return (rotations + reflections) // (2 * n)
 
 
-def _raw_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+def _raw_compositions(n: int, k: int, lift: int = 0) -> Iterator[tuple[int, ...]]:
     # Cut-point bijection: (k-1)-subsets of 1..n-1 in lexicographic order
     # map to compositions in lexicographic order; k = 1 has one, empty, cut set.
+    # `lift` raises the last part, which keeps that order.
     for cuts in combinations(range(1, n), k - 1):
         prev = 0
         parts = []
         for c in cuts:
             parts.append(c - prev)
             prev = c
-        parts.append(n - prev)
+        parts.append(n - prev + lift)
         yield tuple(parts)
 
 
 # ── map phase ─────────────────────────────────────────────────────────────
-# Workers receive one first part each.  A canonical composition starts with
-# its minimum part, so every survivor belongs to exactly one worker and the
-# reduce phase never sees duplicates.  First parts above n // k cannot start
-# a canonical composition at all and are skipped outright.  Its last part is
-# also at least its second, or the reversal read back from the first part
-# would be smaller, so worker s1 loops over the second part s2 >= s1 and the
-# last part last >= s2 and streams only the k - 3 middle parts, each >= s1:
-# the compositions of n - s1 - s2 - last - (k-3)(s1-1) into k - 3 parts,
-# each raised by s1 - 1.  That order is not lexicographic, so a class with
-# more than one member is sorted at the end.
+# Worker s1 loops over the second part s2 >= s1; first parts above n // k
+# cannot start a canonical composition and get no task.  The last part is at
+# least s2, or the reversal read back from the first part would be smaller,
+# and the k - 3 middle parts are at least s1.  Lowering each middle part by
+# s1 - 1 and the last by s2 - 1 maps those tails onto the compositions of
+# n - s1 - 2 s2 - (k-3)(s1-1) + 1 into k - 2 parts, one stream per s2 in
+# lexicographic order, so each task is lexicographic too.
 
 
 def _groups_for_first_part(
@@ -174,25 +181,14 @@ def _groups_for_first_part(
     if k == 2:  # the second part is the last, and (s1, n - s1) is canonical
         return {_interval_counts((s1, n - s1), n): ((s1, n - s1),)}
     shift = s1 - 1
-    middle = k - 3
     groups: dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for s2 in range(s1, (n - (k - 2) * s1) // 2 + 1):
         head = (s1, s2)
-        room = n - s1 - s2 - middle * s1  # the largest possible last part
-        # With no middle parts the last part is whatever the first two leave.
-        for last in range(s2, room + 1) if middle else (room,):
-            tail = (last,)
-            rests = _raw_compositions(room - last + middle, middle) if middle else [()]
-            for rest in rests:
-                if shift:
-                    rest = tuple([r + shift for r in rest])
-                parts = head + rest + tail
-                if is_canonical_parts(parts):
-                    key = _interval_counts(parts, n)
-                    groups[key] = groups.get(key, ()) + (parts,)
-    for key, group in groups.items():
-        if len(group) > 1:
-            groups[key] = tuple(sorted(group))
+        for rest in _raw_compositions(n - s1 - 2 * s2 - (k - 3) * shift + 1, k - 2, s2 - s1):
+            parts = head + (tuple([r + shift for r in rest]) if shift else rest)
+            if is_canonical_parts(parts):
+                key = _interval_counts(parts, n)
+                groups[key] = groups.get(key, ()) + (parts,)
     return groups
 
 
@@ -216,12 +212,8 @@ def _class_groups(
     if k == 1:
         return {bytes(n // 2): ((n,),)}
     tasks = [(n, k, s1) for s1 in range(1, n // k + 1)]
-    # A canonical composition starts with its smallest step, which is also
-    # the smallest interval class its vector counts, so no two tasks share a
-    # vector: each class comes whole from one task, which sorted it, and the
-    # tasks merge into the first, largest one; realization_table sorts the
-    # keys.  (A shared key would lose classes, and the bracelet check in
-    # realization_table would refuse the result.)
+    # The tasks merge into the first, largest one.  (A shared key would lose
+    # classes, and the bracelet check in realization_table would refuse it.)
     merged, *others = _run_tasks(tasks, workers)
     for groups in others:
         merged.update(groups)
@@ -263,6 +255,12 @@ def summary(n: int, ks: Iterable[int], workers: int = 1) -> list[SummaryRow]:
     return [SummaryRow.of(n, k, realization_table(n, k, workers)) for k in ks]
 
 
+def k_min_bound(n: int, k_max: int | None = None) -> int:
+    """The highest cardinality `k_min_search(n, k_max)` probes: k_max, by default n // 2."""
+    check_modulus(n)
+    return check_int("kmax", n // 2 if k_max is None else k_max, 1, n)
+
+
 def k_min_search(
     n: int, k_max: int | None = None, workers: int = 1
 ) -> tuple[int | None, int, RealizationClass | None]:
@@ -274,21 +272,15 @@ def k_min_search(
     identically), which this tool assumes rather than verifies; pass an
     explicit k_max in [1, n] to search further.  All k searched share one budget.
     """
-    check_modulus(n)
-    hi = check_int("kmax", n // 2 if k_max is None else k_max, 1, n)
-    spent = 0
+    hi = k_min_bound(n, k_max)
     for k in range(4, hi + 1):
-        spent += composition_count(n, k)
-        if spent > COMPOSITION_BUDGET:
-            searched = (
-                f"searched k=4..{k - 1} of 4..{hi}"
-                if k > 4
-                else f"nothing searched, k range 4..{hi}"
-            )
+        try:
+            check_budget(n, range(4, k + 1))
+        except BudgetExceededError as exc:
+            searched = f"searched k=4..{k - 1} of" if k > 4 else "nothing searched, k range"
             raise BudgetExceededError(
-                f"composition budget exhausted before k={k} ({searched}); "
-                "lower --kmax"
-            )
+                f"budget exhausted before k={k} ({searched} 4..{hi}): {exc}"
+            ) from None
         groups = z_groups(n, k, workers)
         if groups:
             return k, k, groups[0]

@@ -71,6 +71,9 @@ def test_composition_stream_counts():
 def test_composition_stream_small_listing():
     assert list(enumeration._raw_compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(enumeration._raw_compositions(4, 1)) == [(4,)]
+    # `lift` raises only the last part.
+    assert list(enumeration._raw_compositions(4, 2, lift=3)) == [(1, 6), (2, 5), (3, 4)]
+    assert list(enumeration._raw_compositions(4, 1, lift=2)) == [(6,)]
 
 
 def test_composition_stream_lex_order_unique():
@@ -78,6 +81,9 @@ def test_composition_stream_lex_order_unique():
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen)) == composition_count(9, 4)
     assert seen == [c.parts for c in all_compositions(9, 4)]
+    lifted = list(enumeration._raw_compositions(9, 4, lift=5))
+    assert lifted == sorted(lifted)
+    assert lifted == [(*p[:-1], p[-1] + 5) for p in seen]
 
 
 # ── class representatives ──────────────────────────────────────────────────
@@ -220,7 +226,8 @@ def _eager_table(n: int, k: int) -> list[tuple[IntervalVector, tuple[Composition
     ("n", "workers"), [(n, 1) for n in range(3, 17)] + [(12, 2), (16, 2)]
 )
 def test_table_matches_an_eager_oracle(n, workers):
-    # The reduce phase does not sort within a class; the oracle sorts itself.
+    # The kernel never sorts a class, it streams each task in lexicographic
+    # order; the oracle sorts itself.
     for k in range(1, n + 1):
         table = realization_table(n, k, workers)
         assert [(rc.mu, rc.realizations) for rc in table] == _eager_table(n, k), (n, k)
@@ -457,6 +464,45 @@ def test_budget_bounds_the_grouping_store_without_enumerating(monkeypatch):
             call()
     # The largest admitted store at each of k = 8, 6, 5, 4.
     for n, k in [(40, 8), (64, 6), (101, 5), (210, 4)]:
+        check_budget(n, [k])
+
+
+def test_budget_charges_long_compositions_by_the_cube_of_their_length(monkeypatch, run_cli):
+    # A composition of k > 13 parts costs (k/13)**3 units.  A plain count of
+    # compositions admitted each of these; `zpairs 2000 1999` ran for 26 s
+    # at one worker, and that time grows as k**3.
+    refused = [
+        (40, 34), (60, 55), (2000, 1999), (8000, 8000),
+        (120, 117), (494, 491), (6325, 6323), (65535, 65535),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("enumerated despite the budget")
+
+    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    for n, k in refused:
+        for call in (realization_table, z_groups, lambda n, k: summary(n, [k])):
+            with pytest.raises(BudgetExceededError, match="units"):
+                call(n, k)
+        for argv in (("table", n, "--kmin", k, "--kmax", k), ("zpairs", n, k)):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (3, "") and "budget" in err, argv
+    # k_min_search enumerates the cardinalities below the first that does not
+    # fit; let them hold no Z-group.
+    searched = []
+    monkeypatch.setattr(enumeration, "z_groups", lambda n, k, workers: searched.append(k) or [])
+    with pytest.raises(BudgetExceededError, match=r"before k=9 \(searched k=4\.\.8 of 4\.\.34\)"):
+        k_min_search(40, 34)
+    assert searched == [4, 5, 6, 7, 8]
+    for n, k in refused:
+        with pytest.raises(BudgetExceededError, match="budget exhausted before"):
+            k_min_search(n, k)
+        code, out, err = run_cli("kmin", n, "--kmax", k)
+        assert (code, out) == (3, "") and "budget" in err, (n, k)
+        assert k not in searched
+        searched.clear()
+    # (28, 20) takes about 6 s and (258, 257) is the tuple-key test.
+    for n, k in [(40, 8), (28, 20), (36, 30), (258, 257), (64, 6), (101, 5), (210, 4)]:
         check_budget(n, [k])
 
 
