@@ -25,7 +25,6 @@ from .core import (
     dft_magnitudes,
     interval_multiset,
     interval_multiset_brute,
-    normalize_to_zero,
     set_from_composition,
     steps,
 )
@@ -38,7 +37,6 @@ from .enumeration import (
     BudgetExceededError,
     RealizationClass,
     SummaryRow,
-    composition_count,
     k_min_search,
     realization_table,
     summary,
@@ -60,7 +58,6 @@ __all__ = [
     "check_int",
     "check_modulus",
     "classify_pair",
-    "composition_count",
     "dft_magnitudes",
     "equivalent",
     "inherit",
@@ -68,7 +65,6 @@ __all__ = [
     "interval_multiset_brute",
     "k4_pair",
     "k_min_search",
-    "normalize_to_zero",
     "realization_table",
     "scale_set",
     "scale_zpair",

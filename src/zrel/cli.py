@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 from typing import Iterator, Sequence
 
-from .construct import ZPair, classify_pair, group_zpairs, k4_pair, scale_zpair, zpairs_of
+from .construct import ZPair, classify_pair, group_zpairs, inherit, k4_pair
 from .core import PitchClassSet, check_int, check_modulus, set_from_composition, steps
 from .enumeration import (
     BudgetExceededError,
@@ -133,9 +133,7 @@ def cmd_k4(args) -> tuple[dict, int]:
 def cmd_scale(args) -> tuple[dict, int]:
     check_int("d", args.d, 1)
     check_int("k", args.k, 2, check_modulus(args.base_n))
-    pairs = [
-        scale_zpair(p, args.d) for p in zpairs_of(args.base_n, args.k, args.threads)
-    ]
+    pairs = inherit(args.d * args.base_n, args.base_n, args.k, args.threads)
     rows = [_pair_row(p) for p in pairs]
     params = {"base_n": args.base_n, "d": args.d, "k": args.k}
     return _doc("scale", params, rows), 0

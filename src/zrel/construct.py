@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
+    Composition,
     IntervalVector,
     PitchClassSet,
     check_int,
     check_modulus,
     interval_multiset,
     interval_multiset_brute,
-    normalize_to_zero,
     set_from_composition,
     steps,
 )
@@ -97,16 +97,16 @@ def _scaled_vector(mu: IntervalVector, d: int) -> IntervalVector:
 
 
 def scale_zpair(pair: ZPair, d: int) -> ZPair:
-    """Scale both members by d into Z_{d*n}; a derived pair for d >= 2.
+    """Scale both members by d into Z_{d*n}: a derived pair for d >= 2, `pair` for d == 1.
 
     The result is re-checked (equal interval vectors, T/I-inequivalent)
     before being returned; a failure would mean the scaling property itself
     is broken and is raised as an internal error, not bad input.
     """
+    if check_int("scale factor", d, 1) == 1:
+        return pair
     s1 = scale_set(pair.set1, d)
     s2 = scale_set(pair.set2, d)
-    if d == 1:
-        return pair
     try:
         return ZPair(s1, s2, _scaled_vector(pair.mu, d), d, pair)
     except ValueError as exc:
@@ -138,10 +138,10 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
 
 def _downscale(pcs: PitchClassSet, d: int) -> PitchClassSet:
     """`pcs` rooted at 0, each element divided by d, in Z_{n/d}; d must divide every step."""
-    rooted = normalize_to_zero(pcs)
-    if pcs.n % d or any(e % d for e in rooted.elements):
+    parts = steps(pcs).parts
+    if pcs.n % d or any(p % d for p in parts):
         raise ValueError(f"scale {d} does not divide every step of {pcs.elements}")
-    return PitchClassSet(pcs.n // d, tuple(e // d for e in rooted.elements))
+    return set_from_composition(Composition(pcs.n // d, tuple(p // d for p in parts)))
 
 
 def k4_pair(n: int, a: int) -> ZPair:
@@ -174,11 +174,13 @@ def zpairs_of(m: int, k: int, workers: int = 1) -> list[ZPair]:
 
 
 def inherit(n: int, m: int, k: int, workers: int = 1) -> list[ZPair]:
-    """Scale every Z-pair found by enumeration at (m, k) up to Z_n by n/m.
+    """Scale every Z-pair found by enumeration at (m, k) up to Z_n by d = n/m.
 
-    Returns one derived pair per pair of `zpairs_of(m, k)`, in its order.
+    Returns one pair per pair of `zpairs_of(m, k)`, in its order: derived
+    for d >= 2, and the enumerated pair itself for d == 1.  The target
+    modulus is checked before anything is enumerated.
     """
     check_modulus(n)
-    if type(m) is not int or not 3 <= m < n or n % m != 0:
-        raise ValueError(f"m must be a proper divisor of n with m >= 3, got m={m!r}, n={n}")
+    if type(m) is not int or m < 3 or n % m != 0:
+        raise ValueError(f"m must be a divisor of n with m >= 3, got m={m!r}, n={n}")
     return [scale_zpair(pair, n // m) for pair in zpairs_of(m, k, workers)]

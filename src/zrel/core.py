@@ -120,19 +120,11 @@ class IntervalVector:
         )
 
 
-def normalize_to_zero(pcs: PitchClassSet) -> PitchClassSet:
-    """Transpose so the least element maps to 0."""
-    lo = pcs.elements[0]
-    if lo == 0:
-        return pcs
-    return PitchClassSet(pcs.n, tuple((e - lo) % pcs.n for e in pcs.elements))
-
-
 def steps(pcs: PitchClassSet) -> Composition:
     """Consecutive differences read from the least element, with the wraparound step.
 
-    Transposition leaves them unchanged, so any set and its rooted form
-    `normalize_to_zero(pcs)` have the same steps.
+    Transposition leaves them unchanged, so `set_from_composition(steps(pcs))`
+    is `pcs` transposed to put its least element at 0.
     """
     elems = pcs.elements
     parts = tuple(b - a for a, b in zip(elems, elems[1:])) + (pcs.n - elems[-1] + elems[0],)

@@ -98,11 +98,6 @@ class SummaryRow:
         )
 
 
-def composition_count(n: int, k: int) -> int:
-    """Number of compositions of n into k positive parts: C(n-1, k-1)."""
-    return math.comb(n - 1, k - 1)
-
-
 def check_budget(n: int, ks: Iterable[int]) -> None:
     """The one guard of an enumeration request: refuse it before any work.
 
@@ -117,7 +112,7 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
     """
     check_modulus(n)
     ks = [check_int("cardinality", k, 1, n) for k in ks]
-    costs = (composition_count(n, k) * max(k, 13) ** 3 // 13**3 for k in ks)
+    costs = (math.comb(n - 1, k - 1) * max(k, 13) ** 3 // 13**3 for k in ks)
     for total in accumulate(costs):
         if total > COMPOSITION_BUDGET:
             raise BudgetExceededError(

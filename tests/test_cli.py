@@ -281,6 +281,13 @@ def test_scale_identity_keeps_base(run_cli):
     assert len(rows) == 1 and rows[0]["n"] == 12
 
 
+@pytest.mark.parametrize("base_n, d, k", [(13, 6000, 3), (30000, 3, 4)])
+def test_scale_checks_the_target_modulus_before_enumerating(run_cli, base_n, d, k):
+    # (30000, 4) alone is over budget, so the modulus check must come first.
+    want = f"error: modulus must be an integer in [3, 65535], got {base_n * d}\n"
+    assert run_cli("scale", base_n, d, k) == (2, "", want)
+
+
 def test_classify_command(run_cli):
     code, out, _ = run_cli("classify", 12, "0,1,3,7", "0,1,4,6")
     assert code == 0

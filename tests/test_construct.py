@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from zrel import core
+from zrel import construct, core
 from zrel.construct import (
     ZPair,
     classify_pair,
@@ -146,7 +146,11 @@ def test_scale_zpair_doubles_z12_pair():
     assert len(groups) == 1
 
 
-def test_scale_zpair_identity():
+def test_scale_zpair_identity(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scaled the members for d == 1")
+
+    monkeypatch.setattr(construct, "scale_set", refuse)
     pair = classify_pair(*Z12_PAIR)
     assert scale_zpair(pair, 1) is pair
 
@@ -363,13 +367,12 @@ def test_zpairs_of_lists_each_group_pair_once_in_order():
         pairs = zpairs_of(n, k)
         assert [(p.set1, p.set2) for p in pairs] == list(group_member_pairs(n, k))
         assert [scale_zpair(p, 2) for p in pairs] == inherit(2 * n, n, k)
+        assert inherit(n, n, k) == pairs
 
 
 def test_inherit_rejects_non_divisor():
     with pytest.raises(ValueError):
         inherit(20, 7, 4)
-    with pytest.raises(ValueError):
-        inherit(12, 12, 4)
 
 
 def test_inherit_refuses_a_modulus_above_the_bound():

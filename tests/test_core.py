@@ -13,7 +13,6 @@ from zrel.core import (
     dft_magnitudes,
     interval_multiset,
     interval_multiset_brute,
-    normalize_to_zero,
     set_from_composition,
     steps,
 )
@@ -91,7 +90,7 @@ def test_interval_vector_shape():
         IntervalVector(12, (1, -1, 0, 0, 0, 0))
 
 
-# ── steps / set_from_composition / normalize_to_zero ──────────────────────
+# ── steps / set_from_composition ──────────────────────────────────────────
 
 
 @pytest.mark.parametrize(
@@ -115,7 +114,9 @@ def pitch_class_sets(draw):
 @given(pitch_class_sets())
 @example(PitchClassSet(12, (3, 6, 10)))
 def test_steps_read_any_set_from_its_least_element(pcs):
-    assert steps(pcs) == steps(normalize_to_zero(pcs))
+    lo = pcs.elements[0]
+    rooted = PitchClassSet(pcs.n, tuple((e - lo) % pcs.n for e in pcs.elements))
+    assert steps(pcs) == steps(rooted)
 
 
 @pytest.mark.parametrize(
@@ -135,12 +136,14 @@ def test_closure_round_trip(comp):
     assert steps(set_from_composition(comp)) == comp
 
 
-def test_normalize_to_zero():
-    assert normalize_to_zero(PitchClassSet(12, (3, 6, 10))).elements == (0, 3, 7)
-    already = PitchClassSet(12, (0, 1, 4, 6))
-    assert normalize_to_zero(already) is already
+def test_set_from_steps_roots_a_set_at_zero():
+    def rooted(n, elements):
+        return set_from_composition(steps(PitchClassSet(n, elements))).elements
+
+    assert rooted(12, (3, 6, 10)) == (0, 3, 7)
+    assert rooted(12, (0, 1, 4, 6)) == (0, 1, 4, 6)
     # 0 is the least residue of {11, 0, 1}, so the set is already rooted.
-    assert normalize_to_zero(PitchClassSet(12, (11, 0, 1))).elements == (0, 1, 11)
+    assert rooted(12, (11, 0, 1)) == (0, 1, 11)
 
 
 # ── interval multisets ─────────────────────────────────────────────────────
@@ -219,7 +222,7 @@ def test_oracle_equivalence_small_exhaustive():
         for k in range(2, min(6, n) + 1):
             for elements in combinations(range(n), k):
                 pcs = PitchClassSet(n, elements)
-                via_steps = interval_multiset(steps(normalize_to_zero(pcs)))
+                via_steps = interval_multiset(steps(pcs))
                 assert via_steps == interval_multiset_brute(pcs)
 
 

@@ -22,7 +22,6 @@ from zrel.enumeration import (
     BudgetExceededError,
     RealizationClass,
     check_budget,
-    composition_count,
     k_min_search,
     realization_table,
     summary,
@@ -64,8 +63,7 @@ def z_pair_count(n: int, k: int) -> int:
 
 def test_composition_stream_counts():
     assert sum(1 for _ in enumeration._raw_compositions(12, 3)) == 55
-    assert composition_count(19, 6) == 8568
-    assert sum(1 for _ in enumeration._raw_compositions(19, 6)) == 8568
+    assert sum(1 for _ in enumeration._raw_compositions(19, 6)) == math.comb(18, 5) == 8568
 
 
 def test_composition_stream_small_listing():
@@ -79,7 +77,7 @@ def test_composition_stream_small_listing():
 def test_composition_stream_lex_order_unique():
     seen = list(enumeration._raw_compositions(9, 4))
     assert seen == sorted(seen)
-    assert len(seen) == len(set(seen)) == composition_count(9, 4)
+    assert len(seen) == len(set(seen)) == math.comb(9 - 1, 4 - 1)
     assert seen == [c.parts for c in all_compositions(9, 4)]
     lifted = list(enumeration._raw_compositions(9, 4, lift=5))
     assert lifted == sorted(lifted)
@@ -430,7 +428,6 @@ def test_budget_check():
         check_budget(100, [50])
     with pytest.raises(BudgetExceededError):
         check_budget(40, [9])
-    assert composition_count(12, 3) == math.comb(11, 2)
 
 
 def test_library_entry_points_refuse_over_budget_without_enumerating(monkeypatch):

@@ -42,8 +42,7 @@ LIBRARY = {
     "k_min_search kmax": ("kmax", lambda k: k_min_search(12, k), 1, 12, None),
     "scale_set d": ("scale factor", lambda d: scale_set(SET, d), 1, None, None),
     "k4_pair a": ("offset a", lambda a: k4_pair(24, a), 1, 5, None),
-    # inherit(3, m, k) has no proper divisor m >= 3, so 6 stands in for lo.
-    "inherit n": ("modulus", lambda n: inherit(n, 3, 3), 3, MAX_MODULUS, (6, MAX_MODULUS)),
+    "inherit n": ("modulus", lambda n: inherit(n, 3, 3), 3, MAX_MODULUS, None),
 }
 
 
