@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Iterator, Sequence
 
 from .construct import ZPair, classify_pair, group_zpairs, inherit, k4_pair
@@ -24,6 +24,7 @@ from .core import PitchClassSet, check_int, check_modulus, set_from_composition,
 from .enumeration import (
     BudgetExceededError,
     RealizationClass,
+    SummaryRow,
     k_min_bound,
     k_min_search,
     summary,
@@ -158,12 +159,11 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"sets are comma-separated residues without whitespace, got {text!r}"
-        ) from None
+    # Only ASCII decimal digits: int() alone would also take " 1", "+1", "1_1" and "٣".
+    tokens = text.split(",")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"sets are comma-separated residues without whitespace, got {text!r}")
+    return tuple(map(int, tokens))
 
 
 # ── rendering ─────────────────────────────────────────────────────────────
@@ -197,7 +197,7 @@ def _columns(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
-TABLE_FIELDS = ("n", "k", "ti_classes", "multisets", "nonreconstructible")
+TABLE_FIELDS = tuple(f.name for f in fields(SummaryRow))
 
 
 def _table_lines(params: dict, rows: list[dict]) -> list[str]:

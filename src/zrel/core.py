@@ -56,9 +56,6 @@ class PitchClassSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
 
 @dataclass(frozen=True, order=True)
 class Composition:
@@ -109,10 +106,6 @@ class IntervalVector:
             raise ValueError(f"counts must be non-negative integers, got {counts!r}")
         object.__setattr__(self, "counts", counts)
 
-    def total(self) -> int:
-        """Number of intervals counted; C(k, 2) for a set of cardinality k."""
-        return sum(self.counts)
-
     def as_multiset(self) -> tuple[int, ...]:
         """Expand the counts into the sorted multiset of interval classes."""
         return tuple(
@@ -160,10 +153,8 @@ def interval_multiset(comp: Composition) -> IntervalVector:
 
     The interval class between any two elements of the encoded set is the
     interval class of the sum of the steps between them, so one pass over
-    the partial sums yields all C(k, 2) intervals.
+    the partial sums yields all C(k, 2) intervals: none for one part.
     """
-    if len(comp) < 2:
-        raise ValueError("interval multiset needs at least two parts")
     return IntervalVector(comp.n, _interval_counts(comp.parts, comp.n))
 
 
@@ -173,9 +164,8 @@ def interval_multiset_brute(pcs: PitchClassSet) -> IntervalVector:
     The set's constructor is its one validation: it has checked the modulus
     and that the elements are distinct integers in [0, n), and sorted them,
     so each pair p < q has 0 < q - p < n and its class is read off inline.
+    A one-element set has no pairs, so its vector is all zeros.
     """
-    if len(pcs) < 2:
-        raise ValueError("interval multiset needs at least two pitch classes")
     n = pcs.n
     counts = [0] * (n // 2)
     for p, q in combinations(pcs.elements, 2):

@@ -60,8 +60,8 @@ def equivalent(c1: Composition, c2: Composition) -> bool:
     """True iff the two compositions lie in one rotation/reversal orbit.
 
     Compositions over different moduli or of different lengths are never
-    equivalent, so those cases return False rather than raising; enumeration
-    code relies on this being a total predicate.
+    equivalent, so those cases return False rather than raising: the public
+    callers of `ti_equivalent` may compare sets of any modulus and size.
     """
     if c1.n != c2.n or len(c1) != len(c2):
         return False

@@ -201,20 +201,6 @@ def _run_tasks(tasks: list[tuple[int, int, int]], workers: int) -> list:
     return [_groups_for_first_part(task) for task in tasks]
 
 
-def _class_groups(
-    n: int, k: int, workers: int
-) -> dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    if k == 1:
-        return {bytes(n // 2): ((n,),)}
-    tasks = [(n, k, s1) for s1 in range(1, n // k + 1)]
-    # The tasks merge into the first, largest one.  (A shared key would lose
-    # classes, and the bracelet check in realization_table would refuse it.)
-    merged, *others = _run_tasks(tasks, workers)
-    for groups in others:
-        merged.update(groups)
-    return merged
-
-
 # ── public operations ─────────────────────────────────────────────────────
 
 
@@ -228,7 +214,14 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     """
     check_budget(n, [k])
     check_int("workers", workers, 1)
-    groups = _class_groups(n, k, workers)
+    if k == 1:
+        groups = {_interval_counts((n,), n): ((n,),)}
+    else:
+        # The tasks merge into the first, largest one.  (A shared key would
+        # lose classes, and the bracelet check below would refuse it.)
+        groups, *others = _run_tasks([(n, k, s1) for s1 in range(1, n // k + 1)], workers)
+        for task_groups in others:
+            groups.update(task_groups)
     found, expected = sum(map(len, groups.values())), _bracelet_count(n, k)
     if found != expected:
         raise RuntimeError(

@@ -105,7 +105,7 @@ def test_table_refuses_an_oversized_grouping_store(run_cli, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated despite the budget")
 
-    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    monkeypatch.setattr(enumeration, "_run_tasks", refuse)
     code, out, err = run_cli("table", 65535, "--kmin", 2, "--kmax", 2)
     assert (code, out) == (3, "")
     assert "vector keys" in err
@@ -303,11 +303,19 @@ def test_classify_derived_text_provenance(run_cli):
 def test_classify_rejects_non_z_related(run_cli):
     code, _, err = run_cli("classify", 12, "0,1,3,7", "1,2,4,8")
     assert code == 2 and "not Z-related" in err
+    # One-element sets share the zero vector, and are T-equivalent.
+    code, out, err = run_cli("classify", 12, "0", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: not Z-related: (0,) and (1,) are T/I-equivalent\n"
 
 
 def test_classify_rejects_malformed_set(run_cli):
-    code, _, err = run_cli("classify", 12, "0,1,x", "0,1,4,6")
-    assert code == 2 and "comma-separated" in err
+    # Only ASCII decimal tokens are read: int() alone would take "1_1" as 11.
+    for text in ("0,1,x", "0,1_1", "0, 1", " 1", "0,+1", "0,\u0663", "0,-1", "0,", ""):
+        code, out, err = run_cli("classify", 12, text, "0,1")
+        assert (code, out) == (2, ""), text
+        message = f"sets are comma-separated residues without whitespace, got {text!r}"
+        assert err == f"error: {message}\n"
 
 
 # ── verify ─────────────────────────────────────────────────────────────────
@@ -434,15 +442,16 @@ def test_verify_reports_a_refused_k4_pair_as_a_failed_check(run_cli, monkeypatch
 def test_verify_reports_a_failed_class_count_as_a_failed_check(run_cli, monkeypatch):
     from zrel import enumeration
 
-    groups = enumeration._class_groups
+    run_tasks = enumeration._run_tasks
 
-    def drop_one_class(n, k, workers):
-        found = groups(n, k, workers)
+    def drop_one_class(tasks, workers):
+        results = run_tasks(tasks, workers)
+        found = results[0]
         first = next(iter(found))
         found[first] = found[first][1:]
-        return found
+        return results
 
-    monkeypatch.setattr(enumeration, "_class_groups", drop_one_class)
+    monkeypatch.setattr(enumeration, "_run_tasks", drop_one_class)
     code, out, err = run_cli("verify", "z12", "--format", "json", "--threads", 1)
     assert (code, err) == (1, "")
     [row] = json.loads(out)["rows"]

@@ -16,6 +16,7 @@ from zrel.core import (
     set_from_composition,
     steps,
 )
+from zrel.enumeration import realization_table
 
 
 def brute_counts(elements, n):
@@ -82,7 +83,7 @@ def test_composition_validates_closure():
 
 def test_interval_vector_shape():
     iv = IntervalVector(12, (1, 1, 1, 1, 1, 1))
-    assert iv.total() == 6
+    assert sum(iv.counts) == 6
     assert iv.as_multiset() == (1, 2, 3, 4, 5, 6)
     with pytest.raises(ValueError):
         IntervalVector(12, (1, 1, 1))
@@ -181,9 +182,13 @@ def test_interval_multiset_z19_coincidence():
     assert interval_multiset(Composition(19, (1, 1, 2, 1, 6, 8))).counts == want
 
 
-def test_interval_multiset_rejects_single_part():
-    with pytest.raises(ValueError):
-        interval_multiset(Composition(12, (12,)))
+def test_interval_multiset_of_one_part_is_the_zero_vector():
+    # A k-set has C(k, 2) intervals, so a one-element set has none, on every route.
+    for n in range(3, 21):
+        zero = IntervalVector(n, (0,) * (n // 2))
+        assert interval_multiset(Composition(n, (n,))) == zero
+        assert interval_multiset_brute(PitchClassSet(n, (0,))) == zero
+        assert realization_table(n, 1)[0].mu == zero
 
 
 def test_interval_multiset_brute_examples():
@@ -194,8 +199,7 @@ def test_interval_multiset_brute_examples():
     assert interval_multiset_brute(
         PitchClassSet(19, (0, 1, 2, 4, 5, 11))
     ).counts == (3, 2, 2, 2, 1, 1, 1, 1, 2)
-    with pytest.raises(ValueError):
-        interval_multiset_brute(PitchClassSet(12, (5,)))
+    assert interval_multiset_brute(PitchClassSet(12, (5,))).counts == (0,) * 6
 
 
 @st.composite
@@ -231,7 +235,7 @@ def test_interval_counts_total():
         for k in range(2, n + 1):
             for elements in combinations(range(n), k):
                 mu = interval_multiset_brute(PitchClassSet(n, elements))
-                assert mu.total() == k * (k - 1) // 2
+                assert sum(mu.counts) == k * (k - 1) // 2
 
 
 def test_ti_invariance_of_interval_content():

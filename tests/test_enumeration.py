@@ -215,8 +215,7 @@ def _eager_table(n: int, k: int) -> list[tuple[IntervalVector, tuple[Composition
     # Oracle: canonicalize the full stream, group by vector, sort everything here.
     groups: dict[IntervalVector, list[Composition]] = {}
     for comp in {canonical(c) for c in all_compositions(n, k)}:
-        mu = interval_multiset(comp) if k > 1 else IntervalVector(n, (0,) * (n // 2))
-        groups.setdefault(mu, []).append(comp)
+        groups.setdefault(interval_multiset(comp), []).append(comp)
     return [(mu, tuple(sorted(comps))) for mu, comps in sorted(groups.items())]
 
 
@@ -412,7 +411,7 @@ def test_library_refuses_a_bad_worker_count_before_enumerating(monkeypatch, work
     def refuse(*args):
         raise AssertionError("enumerated before refusing the worker count")
 
-    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    monkeypatch.setattr(enumeration, "_run_tasks", refuse)
     with pytest.raises(ValueError, match=rf"workers must be an integer >= 1, got {workers!r}"):
         realization_table(12, 4, workers)
     with pytest.raises(ValueError, match="workers must be"):
@@ -434,7 +433,7 @@ def test_library_entry_points_refuse_over_budget_without_enumerating(monkeypatch
     def refuse(*args):
         raise AssertionError("enumerated despite the budget")
 
-    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    monkeypatch.setattr(enumeration, "_run_tasks", refuse)
     with pytest.raises(BudgetExceededError, match="nothing searched"):
         k_min_search(65535)
     with pytest.raises(BudgetExceededError):
@@ -449,7 +448,7 @@ def test_budget_bounds_the_grouping_store_without_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated despite the budget")
 
-    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    monkeypatch.setattr(enumeration, "_run_tasks", refuse)
     # Few compositions, but up to classes x n // 2 interval-class counts.
     for call in (
         lambda: realization_table(65535, 2),
@@ -476,7 +475,7 @@ def test_budget_charges_long_compositions_by_the_cube_of_their_length(monkeypatc
     def refuse(*args):
         raise AssertionError("enumerated despite the budget")
 
-    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    monkeypatch.setattr(enumeration, "_run_tasks", refuse)
     for n, k in refused:
         for call in (realization_table, z_groups, lambda n, k: summary(n, [k])):
             with pytest.raises(BudgetExceededError, match="units"):
@@ -508,6 +507,6 @@ def test_summary_refuses_a_bad_cardinality_before_enumerating(monkeypatch, ks):
     def refuse(*args):
         raise AssertionError("enumerated before refusing the request")
 
-    monkeypatch.setattr(enumeration, "_class_groups", refuse)
+    monkeypatch.setattr(enumeration, "_run_tasks", refuse)
     with pytest.raises(ValueError, match=rf"cardinality .* in \[1, 12\], got {ks[-1]}$"):
         summary(12, ks)
