@@ -30,7 +30,6 @@ from .core import (
 )
 from .dihedral import (
     canonical,
-    equivalent,
     ti_equivalent,
 )
 from .enumeration import (
@@ -59,7 +58,6 @@ __all__ = [
     "check_modulus",
     "classify_pair",
     "dft_magnitudes",
-    "equivalent",
     "inherit",
     "interval_multiset",
     "interval_multiset_brute",

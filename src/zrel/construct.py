@@ -34,9 +34,10 @@ class ZPair:
     """Two sets sharing an interval vector without being T/I-equivalent.
 
     scale == 1 marks a primitive pair.  scale == d >= 2 marks a derived
-    pair: each member is `base`'s corresponding member multiplied by d into
-    Z_{d * base.n}.  Construction re-verifies the Z-relation and, for
-    derived pairs, that dividing out the scale recovers the base.
+    pair: each member is T/I-equivalent to `base`'s corresponding member
+    multiplied by d into Z_{d * base.n}.  Construction re-verifies the
+    Z-relation and, for derived pairs, that scaling the base up gives the
+    members, the Scaling Theorem's own direction.
     """
 
     set1: PitchClassSet
@@ -61,14 +62,15 @@ class ZPair:
                 f"not Z-related: {self.set1.elements} and {self.set2.elements} "
                 "are T/I-equivalent"
             )
-        if self.scale < 1 or (self.scale == 1) != (self.base is None):
+        if (check_int("scale", self.scale, 1) == 1) != (self.base is None):
             raise ValueError("scale 1 carries no base; scale >= 2 requires one")
         if self.base is not None:
             for mine, theirs in ((self.set1, self.base.set1), (self.set2, self.base.set2)):
-                if not ti_equivalent(_downscale(mine, self.scale), theirs):
-                    raise ValueError(
-                        "dividing out the scale does not recover the base pair"
-                    )
+                # Checked first, n keeps scale_set within MAX_MODULUS for a wrong base.
+                if theirs.n * self.scale != self.n or not ti_equivalent(
+                    mine, scale_set(theirs, self.scale)
+                ):
+                    raise ValueError("scaling the base pair does not give the members")
 
     @property
     def n(self) -> int:
@@ -120,11 +122,12 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
 
     The candidate scale is the gcd g of all steps of both compositions: the
     pair is a d-scaling exactly for the divisors d of g, because steps are
-    transposition-invariant and reversal merely permutes them.  Dividing out
-    the full g recovers the primitive pair the input scales up from.  The
-    stated vector comes from the steps by the additivity rule; `ZPair`
-    checks it and the Z-relation against the direct pairwise scan, so the
-    caller's pair is refused, by name, before any base is built.
+    transposition-invariant and reversal merely permutes them.  Dividing
+    every step by the full g gives the primitive pair, rooted at 0, that the
+    input scales up from.  The stated vector comes from the steps by the
+    additivity rule; `ZPair` checks it and the Z-relation against the direct
+    pairwise scan, so the caller's pair is refused, by name, before any base
+    is built.
     """
     c1 = steps(set1)
     c2 = steps(set2)
@@ -132,16 +135,9 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
     g = math.gcd(*c1.parts, *c2.parts)
     if g == 1:
         return pair
-    base = classify_pair(_downscale(set1, g), _downscale(set2, g))
+    down = [Composition(c.n // g, tuple(p // g for p in c.parts)) for c in (c1, c2)]
+    base = classify_pair(*map(set_from_composition, down))
     return ZPair(set1, set2, pair.mu, g, base)
-
-
-def _downscale(pcs: PitchClassSet, d: int) -> PitchClassSet:
-    """`pcs` rooted at 0, each element divided by d, in Z_{n/d}; d must divide every step."""
-    parts = steps(pcs).parts
-    if pcs.n % d or any(p % d for p in parts):
-        raise ValueError(f"scale {d} does not divide every step of {pcs.elements}")
-    return set_from_composition(Composition(pcs.n // d, tuple(p // d for p in parts)))
 
 
 def k4_pair(n: int, a: int) -> ZPair:

@@ -56,18 +56,9 @@ def canonical(comp: Composition) -> Composition:
     return Composition(comp.n, canonical_parts(comp.parts))
 
 
-def equivalent(c1: Composition, c2: Composition) -> bool:
-    """True iff the two compositions lie in one rotation/reversal orbit.
-
-    Compositions over different moduli or of different lengths are never
-    equivalent, so those cases return False rather than raising: the public
-    callers of `ti_equivalent` may compare sets of any modulus and size.
-    """
-    if c1.n != c2.n or len(c1) != len(c2):
-        return False
-    return canonical_parts(c1.parts) == canonical_parts(c2.parts)
-
-
 def ti_equivalent(p1: PitchClassSet, p2: PitchClassSet) -> bool:
-    """Transposition/inversion equivalence of sets, decided on their steps."""
-    return equivalent(steps(p1), steps(p2))
+    """Transposition/inversion equivalence of sets, decided on their steps.
+
+    Sets of other moduli or sizes have steps of other sums or lengths: never equal.
+    """
+    return canonical_parts(steps(p1).parts) == canonical_parts(steps(p2).parts)

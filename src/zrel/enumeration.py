@@ -160,7 +160,7 @@ def _raw_compositions(n: int, k: int, lift: int = 0) -> Iterator[tuple[int, ...]
 
 
 # ── map phase ─────────────────────────────────────────────────────────────
-# Worker s1 loops over the second part s2 >= s1; first parts above n // k
+# For k >= 3, worker s1 loops over the second part s2 >= s1; first parts above n // k
 # cannot start a canonical composition and get no task.  The last part is at
 # least s2, or the reversal read back from the first part would be smaller,
 # and the k - 3 middle parts are at least s1.  Lowering each middle part by
@@ -173,8 +173,6 @@ def _groups_for_first_part(
     task: tuple[int, int, int]
 ) -> dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]]:
     n, k, s1 = task
-    if k == 2:  # the second part is the last, and (s1, n - s1) is canonical
-        return {_interval_counts((s1, n - s1), n): ((s1, n - s1),)}
     shift = s1 - 1
     groups: dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for s2 in range(s1, (n - (k - 2) * s1) // 2 + 1):
@@ -210,12 +208,13 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     Classes are sorted by vector (lexicographic on the count sequence, which
     is also the order of the `bytes` keys) and each class's realizations are
     sorted lexicographically, so the result is deterministic and independent
-    of the worker count.
+    of the worker count.  k <= 2 is listed directly, so it starts no pool.
     """
     check_budget(n, [k])
     check_int("workers", workers, 1)
-    if k == 1:
-        groups = {_interval_counts((n,), n): ((n,),)}
+    if k <= 2:  # (n,) and each (s1, n - s1), s1 <= n // 2: canonical, with its own vector
+        parts = [(n,)] if k == 1 else [(s1, n - s1) for s1 in range(1, n // 2 + 1)]
+        groups = {_interval_counts(p, n): (p,) for p in parts}
     else:
         # The tasks merge into the first, largest one.  (A shared key would
         # lose classes, and the bracelet check below would refuse it.)

@@ -106,6 +106,7 @@ def test_table_refuses_an_oversized_grouping_store(run_cli, monkeypatch):
         raise AssertionError("enumerated despite the budget")
 
     monkeypatch.setattr(enumeration, "_run_tasks", refuse)
+    monkeypatch.setattr(enumeration, "_interval_counts", refuse)  # k <= 2 runs no task
     code, out, err = run_cli("table", 65535, "--kmin", 2, "--kmax", 2)
     assert (code, out) == (3, "")
     assert "vector keys" in err

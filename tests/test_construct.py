@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -109,21 +110,44 @@ def test_zpair_accepts_a_true_derived_claim():
     assert _derived_claim(Z24_DERIVED, 2, Z12_BASE) == classify_pair(*Z24_DERIVED)
 
 
+SCALED_BASE = "scaling the base pair does not give the members"
+BASE_RULE = "scale 1 carries no base; scale >= 2 requires one"
+
+
 @pytest.mark.parametrize(
     "sets, scale, base",
     [
-        # the steps of {0,1,6,13} are odd, so 2 divides none of them
+        # the steps of {0,1,6,13} are odd, so no doubled set has them
         ((PitchClassSet(24, (0, 1, 6, 13)), PitchClassSet(24, (0, 1, 7, 12))), 2, Z12_BASE),
-        # 8 * 2 != 24: the downscaled members live in Z_12, not Z_8
+        # 8 * 2 != 24: the doubled base lives in Z_16, not Z_24
         (Z24_DERIVED, 2, k4_pair(8, 1)),
         # the base lists the members the other way round
         (Z24_DERIVED, 2, classify_pair(Z12_PAIR[1], Z12_PAIR[0])),
         (Z24_DERIVED, 1, Z12_BASE),
         (Z24_DERIVED, 2, None),
+        # 8 * 30000 is above the modulus bound, so the base cannot be scaled at all
+        (Z24_DERIVED, 30000, k4_pair(8, 1)),
     ],
 )
 def test_zpair_refuses_a_bad_derived_claim(sets, scale, base):
-    with pytest.raises(ValueError):
+    # The scale/base rule is checked before the base is scaled up.
+    message = BASE_RULE if (scale == 1) != (base is None) else SCALED_BASE
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _derived_claim(sets, scale, base)
+
+
+@pytest.mark.parametrize(
+    "sets, scale, base",
+    [
+        (Z12_PAIR, True, None),
+        (Z12_PAIR, 1.0, None),
+        (Z24_DERIVED, 2.0, Z12_BASE),
+        (Z12_PAIR, 0, None),
+    ],
+)
+def test_zpair_scale_takes_the_one_integer_guard(sets, scale, base):
+    want = f"scale must be an integer >= 1, got {scale!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         _derived_claim(sets, scale, base)
 
 

@@ -5,11 +5,16 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from zrel.core import Composition, PitchClassSet, interval_multiset, steps
+from zrel.core import (
+    Composition,
+    PitchClassSet,
+    interval_multiset,
+    set_from_composition,
+    steps,
+)
 from zrel.dihedral import (
     canonical,
     canonical_parts,
-    equivalent,
     is_canonical_parts,
     ti_equivalent,
 )
@@ -139,36 +144,17 @@ def test_is_canonical_parts_examples(parts, want):
     assert is_canonical_parts(parts) is want
 
 
-# ── equivalent ─────────────────────────────────────────────────────────────
-
-
-def test_equivalent_examples():
-    assert equivalent(Composition(12, (1, 2, 4, 5)), Composition(12, (5, 4, 2, 1)))
-    assert not equivalent(Composition(12, (1, 2, 4, 5)), Composition(12, (1, 3, 2, 6)))
-    assert equivalent(Composition(12, (3, 4, 5)), Composition(12, (4, 5, 3)))
-
-
-def test_equivalent_total_on_mismatches():
-    assert not equivalent(Composition(12, (3, 4, 5)), Composition(13, (3, 4, 6)))
-    assert not equivalent(Composition(12, (3, 4, 5)), Composition(12, (3, 4, 4, 1)))
-
-
-def test_equivalent_is_equivalence_relation():
-    comps = [Composition(8, parts) for parts in all_compositions(8, 3)]
-    for a in comps:
-        assert equivalent(a, a)
-        for b in comps:
-            assert equivalent(a, b) == equivalent(b, a)
-            if equivalent(a, b):
-                for c in comps:
-                    if equivalent(b, c):
-                        assert equivalent(a, c)
-
-
 # ── ti_equivalent ──────────────────────────────────────────────────────────
 
 
+def pcs_of(n, parts):
+    return set_from_composition(Composition(n, parts))
+
+
 def test_ti_equivalent_examples():
+    assert ti_equivalent(pcs_of(12, (1, 2, 4, 5)), pcs_of(12, (5, 4, 2, 1)))
+    assert not ti_equivalent(pcs_of(12, (1, 2, 4, 5)), pcs_of(12, (1, 3, 2, 6)))
+    assert ti_equivalent(pcs_of(12, (3, 4, 5)), pcs_of(12, (4, 5, 3)))
     assert ti_equivalent(PitchClassSet(12, (0, 3, 7)), PitchClassSet(12, (0, 4, 9)))
     assert not ti_equivalent(
         PitchClassSet(12, (0, 1, 3, 7)), PitchClassSet(12, (0, 1, 4, 6))
@@ -180,6 +166,9 @@ def test_ti_equivalent_examples():
 
 def test_ti_equivalent_false_on_different_cardinality():
     assert not ti_equivalent(PitchClassSet(12, (0, 3)), PitchClassSet(12, (0, 3, 7)))
+    assert not ti_equivalent(pcs_of(12, (3, 4, 5)), pcs_of(12, (3, 4, 4, 1)))
+    # the same elements in Z_12 and Z_13
+    assert not ti_equivalent(PitchClassSet(12, (0, 3, 7)), PitchClassSet(13, (0, 3, 7)))
 
 
 def test_ti_equivalent_matches_group_orbit_oracle():
@@ -205,8 +194,8 @@ def test_ti_equivalent_matches_group_orbit_oracle():
 
 
 def test_trichord_interval_content_determines_class():
-    # Two three-part compositions with equal interval multisets are always
-    # equivalent, for every modulus up to 24.
+    # Two three-part compositions with equal interval multisets always share
+    # a canonical form, for every modulus up to 24.
     for n in range(3, 25):
         by_mu = {}
         for parts in all_compositions(n, 3):
@@ -214,4 +203,4 @@ def test_trichord_interval_content_determines_class():
             by_mu.setdefault(interval_multiset(comp).counts, []).append(comp)
         for comps in by_mu.values():
             for other in comps[1:]:
-                assert equivalent(comps[0], other)
+                assert canonical(comps[0]) == canonical(other)

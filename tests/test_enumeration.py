@@ -17,7 +17,7 @@ from zrel.core import (
     interval_multiset_brute,
     set_from_composition,
 )
-from zrel.dihedral import canonical, equivalent, is_canonical_parts
+from zrel.dihedral import canonical, is_canonical_parts
 from zrel.enumeration import (
     BudgetExceededError,
     RealizationClass,
@@ -162,9 +162,9 @@ def test_classes_are_canonical_sorted_and_complete():
     classes = table_classes(10, 4)
     assert all(is_canonical_parts(c.parts) for c in classes)
     assert len(set(classes)) == len(classes)
-    # every composition is equivalent to exactly one representative
+    # every composition shares its canonical form with exactly one representative
     for comp in all_compositions(10, 4):
-        hits = [rep for rep in classes if equivalent(comp, rep)]
+        hits = [rep for rep in classes if canonical(comp) == canonical(rep)]
         assert len(hits) == 1
 
 
@@ -207,7 +207,7 @@ def test_group_members_are_pairwise_z_related():
     for rc in z_groups(12, 6):
         for a, b in combinations(rc.realizations, 2):
             assert interval_multiset(a) == interval_multiset(b) == rc.mu
-            assert not equivalent(a, b)
+            assert canonical(a) != canonical(b)
 
 
 @cache
@@ -385,6 +385,18 @@ def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, run_cli):
     sizes.clear()
     code, _, _ = run_cli("table", 20, "--kmin", 4, "--kmax", 4, "--threads", 5000)
     assert code == 0 and sizes == [2]
+    # k <= 2 runs no task, so it starts no pool.
+    sizes.clear()
+    assert realization_table(20, 2, 2) == realization_table(20, 2)
+    assert sizes == []
+    # Without sched_getaffinity (as on macOS) the CPUs are os.cpu_count(),
+    # and an unknown count (None) is one CPU.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, size in [(3, 3), (None, None)]:
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        sizes.clear()
+        assert realization_table(20, 4, 5000) == want
+        assert sizes == ([] if size is None else [size])
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -449,6 +461,7 @@ def test_budget_bounds_the_grouping_store_without_enumerating(monkeypatch):
         raise AssertionError("enumerated despite the budget")
 
     monkeypatch.setattr(enumeration, "_run_tasks", refuse)
+    monkeypatch.setattr(enumeration, "_interval_counts", refuse)  # k <= 2 runs no task
     # Few compositions, but up to classes x n // 2 interval-class counts.
     for call in (
         lambda: realization_table(65535, 2),
