@@ -151,10 +151,19 @@ def pcs_of(n, parts):
     return set_from_composition(Composition(n, parts))
 
 
-def test_ti_equivalent_examples():
+def test_equivalent_examples():
+    # compositions are equivalent exactly when their sets are
     assert ti_equivalent(pcs_of(12, (1, 2, 4, 5)), pcs_of(12, (5, 4, 2, 1)))
     assert not ti_equivalent(pcs_of(12, (1, 2, 4, 5)), pcs_of(12, (1, 3, 2, 6)))
     assert ti_equivalent(pcs_of(12, (3, 4, 5)), pcs_of(12, (4, 5, 3)))
+
+
+def test_equivalent_total_on_mismatches():
+    assert not ti_equivalent(pcs_of(12, (3, 4, 5)), pcs_of(13, (3, 4, 6)))
+    assert not ti_equivalent(pcs_of(12, (3, 4, 5)), pcs_of(12, (3, 4, 4, 1)))
+
+
+def test_ti_equivalent_examples():
     assert ti_equivalent(PitchClassSet(12, (0, 3, 7)), PitchClassSet(12, (0, 4, 9)))
     assert not ti_equivalent(
         PitchClassSet(12, (0, 1, 3, 7)), PitchClassSet(12, (0, 1, 4, 6))
@@ -166,7 +175,6 @@ def test_ti_equivalent_examples():
 
 def test_ti_equivalent_false_on_different_cardinality():
     assert not ti_equivalent(PitchClassSet(12, (0, 3)), PitchClassSet(12, (0, 3, 7)))
-    assert not ti_equivalent(pcs_of(12, (3, 4, 5)), pcs_of(12, (3, 4, 4, 1)))
     # the same elements in Z_12 and Z_13
     assert not ti_equivalent(PitchClassSet(12, (0, 3, 7)), PitchClassSet(13, (0, 3, 7)))
 
