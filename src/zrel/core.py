@@ -136,16 +136,19 @@ def _ic_index(n: int) -> tuple[int, ...]:
     return tuple(min(d, n - d) - 1 for d in range(n))
 
 
+def _key_type(k: int) -> type:
+    # Vector keys: no count exceeds k (each element has at most two partners at
+    # one distance), so up to k = 255 they pack as bytes, in the counts' order.
+    return bytes if k <= 255 else tuple
+
+
 def _interval_counts(parts: tuple[int, ...], n: int) -> bytes | tuple[int, ...]:
-    # Additivity rule on raw tuples; shared with the enumeration fast path.
-    # Each element has at most two partners at any one distance, so no count
-    # exceeds k: up to k = 255 the counts pack as bytes, whose order is the
-    # order of the count sequences, and larger sets keep a tuple.
+    # Additivity rule on raw tuples, over the elements that start the parts.
     index = _ic_index(n)
     counts = [0] * (n // 2)
     for a, b in combinations((0, *accumulate(parts[:-1])), 2):
         counts[index[b - a]] += 1
-    return bytes(counts) if len(parts) <= 255 else tuple(counts)
+    return _key_type(len(parts))(counts)
 
 
 def interval_multiset(comp: Composition) -> IntervalVector:

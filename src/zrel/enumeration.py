@@ -1,21 +1,22 @@
 """Exhaustive enumeration of composition classes and Z-relation detection.
 
-A canonical composition starts with its minimum part and ends with a part
-no smaller than its second, so for each first part s1 and second part
-s2 >= s1 the pipeline streams only the tails whose middle parts are at
-least s1 and whose last part is at least s2: far fewer than all
-C(n-1, k-1) compositions.  It keeps the ones that equal their own canonical
+A canonical composition starts with its minimum part, ends with a part no
+smaller than its second, and is its own least rotation, so each of its
+prefixes is a prenecklace (Ruskey and Sawada, 1999).  For each first part
+s1 and second part s2 >= s1 the kernel visits only compositions of that
+shape, far fewer than all C(n-1, k-1), and counts their interval classes
+in place as it fixes each part.  It keeps the ones that equal their own canonical
 form (rejection canonicalization, one survivor per rotation/reversal
 class), checks their number against the closed-form bracelet count, and
 groups them by interval vector, packed as `bytes` while k <= 255.  A class
 whose vector is shared by two or more inequivalent compositions is a
 Z-group: its realizations are pairwise Z-related.
 
-The stream is partitioned by first part, so the map phase shares nothing
+The work is partitioned by first part, so the map phase shares nothing
 and can run across worker processes.  No two tasks share an interval
 vector: a canonical composition starts with its smallest part, which is
 also the smallest interval class its vector counts, so each class comes
-whole from one task.  Each task streams its compositions in lexicographic
+whole from one task.  Each task visits its compositions in lexicographic
 order, so every class is already sorted; the reduction merges the task
 results and sorts only the vector keys, and the output is identical for
 any worker count.  The table keeps the kernel's raw keys and tuples: `Composition` and
@@ -33,6 +34,7 @@ from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
 from .core import Composition, IntervalVector, _interval_counts, check_int, check_modulus
+from .core import _ic_index, _key_type
 from .dihedral import is_canonical_parts
 
 # Largest cost any single enumeration may incur, and largest grouping store
@@ -104,7 +106,7 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
     Checks the modulus, then every cardinality, then the running total of
     the cost against `COMPOSITION_BUDGET`.  Each composition of k parts costs
     one unit, and (k / 13) ** 3 units when k > 13: the kernel spends O(k)
-    building a candidate and up to O(k^2) canonicalizing it.  No request
+    building a prenecklace candidate and up to O(k^2) canonicalizing it.  No request
     with 13 < k <= n // 2 fits anyway, since C(27, 13) exceeds the budget.
     The same budget bounds each k's grouping store, at most one key of n // 2
     counts per class; per k, because each k's table is dropped before the
@@ -163,25 +165,69 @@ def _raw_compositions(n: int, k: int, lift: int = 0) -> Iterator[tuple[int, ...]
 # For k >= 3, worker s1 loops over the second part s2 >= s1; first parts above n // k
 # cannot start a canonical composition and get no task.  The last part is at
 # least s2, or the reversal read back from the first part would be smaller,
-# and the k - 3 middle parts are at least s1.  Lowering each middle part by
-# s1 - 1 and the last by s2 - 1 maps those tails onto the compositions of
-# n - s1 - 2 s2 - (k-3)(s1-1) + 1 into k - 2 parts, one stream per s2 in
-# lexicographic order, so each task is lexicographic too.
+# and the k - 3 middle parts are at least s1.  Per s2, `_raw_compositions`
+# streams the leading middle parts, lowered by s1 - 1, and a slack part for
+# the rest; a stem (s1, s2, leading parts) that is no prenecklace is skipped.
+# Loops choose the last d = min(2, k - 3) middle parts from the part one
+# period back, each adding its element's pair counts to one list and taking
+# them out after its iterations; the last element's pairs go onto a copy only
+# when `is_canonical_parts` accepts the leaf.
+
+
+def _prenecklace_period(parts: tuple[int, ...]) -> int:
+    # The period of a prenecklace (a prefix of a necklace), or 0 for none: each
+    # part is at least the one p back, and a larger one makes p the whole prefix.
+    p = 1
+    for i in range(1, len(parts)):
+        if parts[i] != parts[i - p]:
+            if parts[i] < parts[i - p]:
+                return 0
+            p = i + 1
+    return p
 
 
 def _groups_for_first_part(
     task: tuple[int, int, int]
 ) -> dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]]:
     n, k, s1 = task
-    shift = s1 - 1
+    shift, d = s1 - 1, min(2, k - 3)
+    index, pack = _ic_index(n), _key_type(k)
     groups: dict[bytes | tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for s2 in range(s1, (n - (k - 2) * s1) // 2 + 1):
-        head = (s1, s2)
-        for rest in _raw_compositions(n - s1 - 2 * s2 - (k - 3) * shift + 1, k - 2, s2 - s1):
-            parts = head + (tuple([r + shift for r in rest]) if shift else rest)
+
+    def place(stem, p, elems, counts, slack):
+        # The middle part at index t: elems are the stem's t + 1 elements,
+        # counts their pairs, slack the sum of the parts from t on.
+        t, e = len(stem), elems[-1]
+        floor = stem[t - p]
+        for a in range(floor, slack - (k - 2 - t) * s1 - s2 + 1):
+            if t < k - 2:
+                for x in elems:
+                    counts[index[e + a - x]] += 1
+                place(stem + (a,), p if a == floor else t + 1, elems + [e + a], counts, slack - a)
+                for x in elems:
+                    counts[index[e + a - x]] -= 1
+                continue
+            parts = (*stem, a, slack - a)
             if is_canonical_parts(parts):
-                key = _interval_counts(parts, n)
+                leaf = counts.copy()
+                for x in elems:
+                    leaf[index[e + a - x]] += 1
+                key = pack(leaf)
                 groups[key] = groups.get(key, ()) + (parts,)
+
+    for s2 in range(s1, (n - (k - 2) * s1) // 2 + 1):
+        lift = (d - 1) * s1 + s2
+        for rest in _raw_compositions(n - s1 - s2 - (k - 2 - d) * shift - lift, k - 2 - d, lift):
+            prefix = (s1, s2, *[r + shift for r in rest]) if shift else (s1, s2, *rest)
+            if not d:  # k = 3: the prefix is the composition
+                if is_canonical_parts(prefix):
+                    key = _interval_counts(prefix, n)
+                    groups[key] = groups.get(key, ()) + (prefix,)
+                continue
+            stem = prefix[:-1]
+            p = _prenecklace_period(stem)
+            if p:
+                place(stem, p, [0, *accumulate(stem)], list(_interval_counts(prefix, n)), prefix[-1])
     return groups
 
 

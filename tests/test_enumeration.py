@@ -5,11 +5,11 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from zrel import enumeration
+from zrel import core, enumeration
 from zrel.core import (
     Composition,
     IntervalVector,
@@ -82,6 +82,49 @@ def test_composition_stream_lex_order_unique():
     lifted = list(enumeration._raw_compositions(9, 4, lift=5))
     assert lifted == sorted(lifted)
     assert lifted == [(*p[:-1], p[-1] + 5) for p in seen]
+
+
+# ── the map kernel ─────────────────────────────────────────────────────────
+
+
+def _stream_kernel(n: int, k: int, s1: int) -> dict:
+    # Test-local copy of the kernel before in-place counts and the prenecklace
+    # prune: stream every tail whose middle parts are at least s1 and whose
+    # last part is at least s2, test each one, and count each survivor anew.
+    groups: dict = {}
+    for s2 in range(s1, (n - (k - 2) * s1) // 2 + 1):
+        m = n - s1 - 2 * s2 - (k - 3) * (s1 - 1) + 1
+        for cuts in combinations(range(1, m), k - 3):
+            bounds = (0, *cuts, m)
+            rest = [b - a + s1 - 1 for a, b in zip(bounds, bounds[1:])]
+            rest[-1] += s2 - s1
+            parts = (s1, s2, *rest)
+            if is_canonical_parts(parts):
+                key = core._interval_counts(parts, n)
+                groups[key] = groups.get(key, ()) + (parts,)
+    return groups
+
+
+def test_kernel_tasks_match_the_stream_kernel():
+    # The same dict, key insertion order and tuple order, task by task.
+    for n in range(3, 23):
+        for k in range(3, n + 1):
+            if math.comb(n - 1, k - 1) > 300_000:
+                continue
+            for s1 in range(1, n // k + 1):
+                got = enumeration._groups_for_first_part((n, k, s1))
+                assert list(got.items()) == list(_stream_kernel(n, k, s1).items()), (n, k, s1)
+
+
+def test_prenecklace_period_matches_brute_force():
+    # A tuple is a prenecklace (a prefix of a necklace) exactly when no suffix
+    # is below the prefix of its length; its period is then its smallest one.
+    for length in range(1, 8):
+        for parts in product(range(1, 5), repeat=length):
+            want = 0
+            if all(parts[i:] >= parts[: length - i] for i in range(1, length)):
+                want = next(p for p in range(1, length + 1) if parts[p:] == parts[: length - p])
+            assert enumeration._prenecklace_period(parts) == want, parts
 
 
 # ── class representatives ──────────────────────────────────────────────────
