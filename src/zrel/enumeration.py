@@ -1,16 +1,18 @@
 """Exhaustive enumeration of composition classes and Z-relation detection.
 
-A canonical composition starts with its minimum part, ends with a part no
-smaller than its second, and is its own least rotation, so each of its
-prefixes is a prenecklace (Ruskey and Sawada, 1999).  For each first part
-s1 and second part s2 >= s1 the kernel visits only compositions of that
-shape, far fewer than all C(n-1, k-1), and counts their interval classes
-in place as it fixes each part.  It keeps the ones that equal their own canonical
-form (rejection canonicalization, one survivor per rotation/reversal
-class), checks their number against the closed-form bracelet count, and
-groups them by interval vector, packed as `bytes` while k <= 255.  A class
-whose vector is shared by two or more inequivalent compositions is a
-Z-group: its realizations are pairwise Z-related.
+The least rotation or reversal of a composition is the canonical form of its
+T/I class.  `realization_table` lists the classes of k <= 3 directly.  For
+k >= 4 the kernel visits only compositions that start with their minimum
+part s1 <= n // k, end with a part no smaller than their second part s2 (or
+the reversal read back from the first part would be smaller), and have each
+part at least the part one period back, as every prefix of a least rotation
+is a prenecklace (Ruskey and Sawada, 1999).  It counts their interval
+classes in place as it fixes each part, keeps the ones that equal their own
+canonical form (rejection canonicalization, one survivor per class), checks
+their number against the closed-form bracelet count, and groups them by
+interval vector, packed as `bytes` while k <= 255.  A class whose vector is
+shared by two or more inequivalent compositions is a Z-group: its
+realizations are pairwise Z-related.
 
 The work is partitioned by first part, so the map phase shares nothing
 and can run across worker processes.  No two tasks share an interval
@@ -30,7 +32,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .core import Composition, IntervalVector, _interval_counts, check_int, check_modulus
@@ -106,7 +108,7 @@ def check_budget(n: int, ks: Iterable[int]) -> None:
     Checks the modulus, then every cardinality, then the running total of
     the cost against `COMPOSITION_BUDGET`.  Each composition of k parts costs
     one unit, and (k / 13) ** 3 units when k > 13: the kernel spends O(k)
-    building a prenecklace candidate and up to O(k^2) canonicalizing it.  No request
+    building a candidate and up to O(k^2) canonicalizing it.  No request
     with 13 < k <= n // 2 fits anyway, since C(27, 13) exceeds the budget.
     The same budget bounds each k's grouping store, at most one key of n // 2
     counts per class; per k, because each k's table is dropped before the
@@ -147,31 +149,27 @@ def _bracelet_count(n: int, k: int) -> int:
     return (rotations + reflections) // (2 * n)
 
 
-def _raw_compositions(n: int, k: int, lift: int = 0) -> Iterator[tuple[int, ...]]:
+def _raw_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     # Cut-point bijection: (k-1)-subsets of 1..n-1 in lexicographic order
     # map to compositions in lexicographic order; k = 1 has one, empty, cut set.
-    # `lift` raises the last part, which keeps that order.
     for cuts in combinations(range(1, n), k - 1):
         prev = 0
         parts = []
         for c in cuts:
             parts.append(c - prev)
             prev = c
-        parts.append(n - prev + lift)
+        parts.append(n - prev)
         yield tuple(parts)
 
 
 # ── map phase ─────────────────────────────────────────────────────────────
-# For k >= 3, worker s1 loops over the second part s2 >= s1; first parts above n // k
-# cannot start a canonical composition and get no task.  The last part is at
-# least s2, or the reversal read back from the first part would be smaller,
-# and the k - 3 middle parts are at least s1.  Per s2, `_raw_compositions`
-# streams the leading middle parts, lowered by s1 - 1, and a slack part for
-# the rest; a stem (s1, s2, leading parts) that is no prenecklace is skipped.
-# Loops choose the last d = min(2, k - 3) middle parts from the part one
-# period back, each adding its element's pair counts to one list and taking
-# them out after its iterations; the last element's pairs go onto a copy only
-# when `is_canonical_parts` accepts the leaf.
+# Task s1 loops over the second part s2.  Per s2, `_raw_compositions` streams
+# the leading middle parts and a slack part for the rest, each lowered so that
+# its least value is 1; a stem (s1, s2, leading parts) that is no prenecklace
+# is skipped.  Loops choose the last d = min(2, k - 3) middle parts, each adding
+# its element's pair counts to one list and taking them out after its
+# iterations; the last element's pairs go onto a copy only when
+# `is_canonical_parts` accepts the leaf.
 
 
 def _prenecklace_period(parts: tuple[int, ...]) -> int:
@@ -217,17 +215,12 @@ def _groups_for_first_part(
 
     for s2 in range(s1, (n - (k - 2) * s1) // 2 + 1):
         lift = (d - 1) * s1 + s2
-        for rest in _raw_compositions(n - s1 - s2 - (k - 2 - d) * shift - lift, k - 2 - d, lift):
+        for rest in _raw_compositions(n - s1 - s2 - (k - 2 - d) * shift - lift, k - 2 - d):
             prefix = (s1, s2, *[r + shift for r in rest]) if shift else (s1, s2, *rest)
-            if not d:  # k = 3: the prefix is the composition
-                if is_canonical_parts(prefix):
-                    key = _interval_counts(prefix, n)
-                    groups[key] = groups.get(key, ()) + (prefix,)
-                continue
-            stem = prefix[:-1]
+            stem, slack = prefix[:-1], prefix[-1] + lift
             p = _prenecklace_period(stem)
             if p:
-                place(stem, p, [0, *accumulate(stem)], list(_interval_counts(prefix, n)), prefix[-1])
+                place(stem, p, [0, *accumulate(stem)], list(_interval_counts(prefix, n)), slack)
     return groups
 
 
@@ -254,16 +247,21 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
     Classes are sorted by vector (lexicographic on the count sequence, which
     is also the order of the `bytes` keys) and each class's realizations are
     sorted lexicographically, so the result is deterministic and independent
-    of the worker count.  k <= 2 is listed directly, so it starts no pool.
+    of the worker count.  k <= 3 is listed directly, so it starts no pool.
     """
     check_budget(n, [k])
     check_int("workers", workers, 1)
-    if k <= 2:  # (n,) and each (s1, n - s1), s1 <= n // 2: canonical, with its own vector
-        parts = [(n,)] if k == 1 else [(s1, n - s1) for s1 in range(1, n // 2 + 1)]
+    if k <= 3:
+        # Rotations and reversals put k <= 3 parts in every order, so each class is
+        # one partition of n: k - 1 ascending parts h, then a last part no smaller.
+        # No two share a vector (the k = 3 theorem; a lost class fails the bracelet
+        # check below): steps a <= b <= c give {ic(a), ic(b), ic(c)}, which is
+        # {a, b, c} when c <= n / 2 and {a, b, a + b} otherwise, so its two least
+        # entries are a and b.
+        heads = combinations_with_replacement(range(1, n // 2 + 1), k - 1)
+        parts = [(*h, n - sum(h)) for h in heads if n - sum(h) >= max(h, default=0)]
         groups = {_interval_counts(p, n): (p,) for p in parts}
-    else:
-        # The tasks merge into the first, largest one.  (A shared key would
-        # lose classes, and the bracelet check below would refuse it.)
+    else:  # The tasks merge into the first, largest one, and share no key.
         groups, *others = _run_tasks([(n, k, s1) for s1 in range(1, n // k + 1)], workers)
         for task_groups in others:
             groups.update(task_groups)
@@ -299,8 +297,8 @@ def k_min_search(
 ) -> tuple[int | None, int, RealizationClass | None]:
     """(k_min or None, highest k searched, first Z-group at k_min or None).
 
-    Cardinality 3 is never probed: a trichord's interval vector always
-    determines it up to T/I.  The default bound k_max = n // 2 relies on the
+    Cardinality 3 is never probed: `realization_table` proves, and checks,
+    that a trichord's interval vector determines it up to T/I.  The default bound k_max = n // 2 relies on the
     complement symmetry of the Z-relation (cardinalities k and n - k behave
     identically), which this tool assumes rather than verifies; pass an
     explicit k_max in [1, n] to search further.  All k searched share one budget.

@@ -457,7 +457,7 @@ def test_verify_reports_a_failed_class_count_as_a_failed_check(run_cli, monkeypa
     assert (code, err) == (1, "")
     [row] = json.loads(out)["rows"]
     assert (row["check"], row["status"]) == ("z12 suite", "fail")
-    assert "bracelet count is 12" in row["detail"]
+    assert "bracelet count is 29" in row["detail"]
 
 
 def test_verify_rejects_unknown_suite(run_cli):

@@ -69,9 +69,6 @@ def test_composition_stream_counts():
 def test_composition_stream_small_listing():
     assert list(enumeration._raw_compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(enumeration._raw_compositions(4, 1)) == [(4,)]
-    # `lift` raises only the last part.
-    assert list(enumeration._raw_compositions(4, 2, lift=3)) == [(1, 6), (2, 5), (3, 4)]
-    assert list(enumeration._raw_compositions(4, 1, lift=2)) == [(6,)]
 
 
 def test_composition_stream_lex_order_unique():
@@ -79,9 +76,6 @@ def test_composition_stream_lex_order_unique():
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen)) == math.comb(9 - 1, 4 - 1)
     assert seen == [c.parts for c in all_compositions(9, 4)]
-    lifted = list(enumeration._raw_compositions(9, 4, lift=5))
-    assert lifted == sorted(lifted)
-    assert lifted == [(*p[:-1], p[-1] + 5) for p in seen]
 
 
 # ── the map kernel ─────────────────────────────────────────────────────────
@@ -108,7 +102,7 @@ def _stream_kernel(n: int, k: int, s1: int) -> dict:
 def test_kernel_tasks_match_the_stream_kernel():
     # The same dict, key insertion order and tuple order, task by task.
     for n in range(3, 23):
-        for k in range(3, n + 1):
+        for k in range(4, n + 1):
             if math.comb(n - 1, k - 1) > 300_000:
                 continue
             for s1 in range(1, n // k + 1):
@@ -209,6 +203,24 @@ def test_classes_are_canonical_sorted_and_complete():
     for comp in all_compositions(10, 4):
         hits = [rep for rep in classes if canonical(comp) == canonical(rep)]
         assert len(hits) == 1
+
+
+def test_small_cardinalities_match_an_oracle_of_every_composition():
+    # k <= 3 is listed as partitions of n.  The oracle canonicalizes every
+    # composition and groups the classes by their pairwise interval multiset.
+    for n in range(3, 61):
+        for k in range(1, 4):
+            groups: dict[IntervalVector, list[Composition]] = {}
+            for comp in {canonical(c) for c in all_compositions(n, k)}:
+                mu = interval_multiset_brute(set_from_composition(comp))
+                groups.setdefault(mu, []).append(comp)
+            want = [(mu, tuple(sorted(comps))) for mu, comps in sorted(groups.items())]
+            assert [(rc.mu, rc.realizations) for rc in realization_table(n, k)] == want, (n, k)
+
+
+def test_no_trichord_is_z_related():
+    # The k = 3 theorem, which every realization_table(n, 3) call also checks.
+    assert [n for n in range(3, 121) if z_groups(n, 3)] == []
 
 
 def test_degenerate_cardinalities():
@@ -428,9 +440,10 @@ def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, run_cli):
     sizes.clear()
     code, _, _ = run_cli("table", 20, "--kmin", 4, "--kmax", 4, "--threads", 5000)
     assert code == 0 and sizes == [2]
-    # k <= 2 runs no task, so it starts no pool.
+    # k <= 3 runs no task, so it starts no pool.
     sizes.clear()
     assert realization_table(20, 2, 2) == realization_table(20, 2)
+    assert realization_table(20, 3, 2) == realization_table(20, 3)
     assert sizes == []
     # Without sched_getaffinity (as on macOS) the CPUs are os.cpu_count(),
     # and an unknown count (None) is one CPU.
