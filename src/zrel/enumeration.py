@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Iterable, Iterator
@@ -224,16 +224,27 @@ def _groups_for_first_part(
     return groups
 
 
+def __getattr__(name: str):
+    # PEP 562: the pool class is imported the first time it is asked for, so a
+    # call that starts no pool never loads concurrent.futures or multiprocessing.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _run_tasks(tasks: list[tuple[int, int, int]], workers: int) -> list:
     # The default fork start method starts every worker up front, so the
     # pool never exceeds the task count or the CPUs this process may use.
+    # The pool class is read off the module at start: imported late, replaceable.
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     size = min(workers, len(tasks), cpus)
     if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(_groups_for_first_part, tasks))
     return [_groups_for_first_part(task) for task in tasks]
 
@@ -298,10 +309,11 @@ def k_min_search(
     """(k_min or None, highest k searched, first Z-group at k_min or None).
 
     Cardinality 3 is never probed: `realization_table` proves, and checks,
-    that a trichord's interval vector determines it up to T/I.  The default bound k_max = n // 2 relies on the
-    complement symmetry of the Z-relation (cardinalities k and n - k behave
-    identically), which this tool assumes rather than verifies; pass an
-    explicit k_max in [1, n] to search further.  All k searched share one budget.
+    that a trichord's interval vector determines it up to T/I.  The default
+    bound k_max = n // 2 relies on the complement symmetry of the Z-relation
+    (cardinalities k and n - k behave identically), which this tool assumes
+    rather than verifies; pass an explicit k_max in [1, n] to search further.
+    All k searched share one budget.
     """
     hi = k_min_bound(n, k_max)
     for k in range(4, hi + 1):

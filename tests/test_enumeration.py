@@ -3,9 +3,13 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -470,6 +474,63 @@ def test_process_start_method_does_not_change_results(monkeypatch, method):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert realization_table(19, 6, workers=2) == want
     assert built == [2]
+
+
+def _in_fresh_interpreter(code: str) -> None:
+    # This process imported concurrent.futures above, so an import boundary is
+    # checked in a new interpreter that imports zrel from the same src/.
+    env = {**os.environ, "PYTHONPATH": str(Path(enumeration.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_that_start_no_pool_do_not_import_the_pool_machinery():
+    _in_fresh_interpreter(
+        """
+        import contextlib, io, sys
+        from zrel import cli, enumeration
+
+        for argv in [
+            ["table", "12", "--kmin", "4", "--kmax", "4", "--threads", "1"],
+            ["k4", "8", "1", "--threads", "2"],
+            ["classify", "12", "0,1,3,7", "0,1,4,6"],
+        ]:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0 and out.getvalue(), argv
+        assert not hasattr(enumeration, "no_such_name")  # getattr(..., None) gives None
+        loaded = [m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")]
+        assert loaded == [], loaded
+        import concurrent.futures
+        assert enumeration.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        """
+    )
+
+
+def test_a_pool_class_set_before_first_use_is_the_one_started():
+    _in_fresh_interpreter(
+        """
+        import os
+        from concurrent.futures import ProcessPoolExecutor
+        from zrel import enumeration
+
+        assert "ProcessPoolExecutor" not in vars(enumeration)
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        enumeration.ProcessPoolExecutor = CountingPool
+        os.sched_getaffinity = lambda pid: {0, 1}
+        table = enumeration.realization_table(20, 4, 2)
+        assert started == [2], started
+        assert table == enumeration.realization_table(20, 4, 1)
+        """
+    )
 
 
 @pytest.mark.parametrize("workers", [0, -3, True, 2.0])
