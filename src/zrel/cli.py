@@ -16,8 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, fields
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .construct import ZPair, classify_pair, group_zpairs, inherit, k4_pair
 from .core import PitchClassSet, check_int, check_modulus, set_from_composition, steps
@@ -98,7 +97,7 @@ def cmd_table(args) -> tuple[dict, int]:
     kmin = check_int("kmin", args.kmin, 2, n)
     kmax = check_int("kmax", max(kmin, n // 2) if args.kmax is None else args.kmax, kmin, n)
     ks = range(kmin, kmax + 1)
-    rows = [asdict(row) for row in summary(n, ks, args.threads)]
+    rows = [{f: getattr(row, f) for f in TABLE_FIELDS} for row in summary(n, ks, args.threads)]
     return _doc("table", {"n": n, "kmin": kmin, "kmax": kmax}, rows), 0
 
 
@@ -197,7 +196,7 @@ def _columns(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
-TABLE_FIELDS = tuple(f.name for f in fields(SummaryRow))
+TABLE_FIELDS = SummaryRow.__slots__
 
 
 def _table_lines(params: dict, rows: list[dict]) -> list[str]:

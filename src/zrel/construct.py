@@ -11,13 +11,13 @@ primitive/derived status of any Z-pair via the gcd of its steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
     Composition,
     IntervalVector,
     PitchClassSet,
+    Record,
     check_int,
     check_modulus,
     interval_multiset,
@@ -29,8 +29,7 @@ from .dihedral import ti_equivalent
 from .enumeration import RealizationClass, z_groups
 
 
-@dataclass(frozen=True)
-class ZPair:
+class ZPair(Record):
     """Two sets sharing an interval vector without being T/I-equivalent.
 
     scale == 1 marks a primitive pair.  scale == d >= 2 marks a derived
@@ -40,11 +39,14 @@ class ZPair:
     members, the Scaling Theorem's own direction.
     """
 
-    set1: PitchClassSet
-    set2: PitchClassSet
-    mu: IntervalVector
-    scale: int = 1
-    base: ZPair | None = None
+    __slots__ = ("set1", "set2", "mu", "scale", "base")
+
+    def __init__(
+        self, set1: PitchClassSet, set2: PitchClassSet, mu: IntervalVector,
+        scale: int = 1, base: ZPair | None = None,
+    ):
+        self._set(set1, set2, mu, scale, base)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.set1.n != self.set2.n or len(self.set1) != len(self.set2):

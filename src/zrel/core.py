@@ -11,7 +11,7 @@ fingerprint used only for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 from itertools import accumulate, combinations
 
@@ -32,12 +32,60 @@ def check_modulus(n: int) -> int:
     return check_int("modulus", n, 3, MAX_MODULUS)
 
 
-@dataclass(frozen=True, order=True)
-class PitchClassSet:
+def _compared(name):
+    # As a frozen dataclass compares: by field tuple, and only within one class.
+    op = getattr(operator, name)
+
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._values, other._values)
+
+    return method
+
+
+class Record:
+    """Immutable slotted record: equality, order, hash and repr of its field tuple.
+
+    A subclass lists its fields, two or more, in order in `__slots__` and sets them
+    in its `__init__`, which also rebuilds (and validates) copies and unpickled records.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(operator.attrgetter(*cls.__slots__))  # the field tuple
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_compared, ("eq", "lt", "le", "gt", "ge"))
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values)
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable record")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class PitchClassSet(Record):
     """Distinct residues mod n, stored as a strictly increasing tuple."""
 
-    n: int
-    elements: tuple[int, ...]
+    __slots__ = ("n", "elements")
+
+    def __init__(self, n: int, elements: tuple[int, ...]):
+        self._set(n, elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_modulus(self.n)
@@ -57,16 +105,18 @@ class PitchClassSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True, order=True)
-class Composition:
+class Composition(Record):
     """Ordered positive parts summing to n: the steps of a set from its least element.
 
     The sum constraint is the closure property; the last part is the
     wraparound step back to the first element.
     """
 
-    n: int
-    parts: tuple[int, ...]
+    __slots__ = ("n", "parts")
+
+    def __init__(self, n: int, parts: tuple[int, ...]):
+        self._set(n, parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_modulus(self.n)
@@ -83,16 +133,18 @@ class Composition:
         return len(self.parts)
 
 
-@dataclass(frozen=True, order=True)
-class IntervalVector:
+class IntervalVector(Record):
     """Counts of interval classes 1..n//2; the grouping key for realizations.
 
     Two sets share an interval multiset exactly when their vectors are equal,
     so equality/hashing of this type is multiset equality of the intervals.
     """
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n: int, counts: tuple[int, ...]):
+        self._set(n, counts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_modulus(self.n)

@@ -31,12 +31,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations, combinations_with_replacement
-from typing import Iterable, Iterator
 
 from .core import Composition, IntervalVector, _interval_counts, check_int, check_modulus
-from .core import _ic_index, _key_type
+from .core import Record, _ic_index, _key_type
 from .dihedral import is_canonical_parts
 
 # Largest cost any single enumeration may incur, and largest grouping store
@@ -49,8 +48,7 @@ class BudgetExceededError(Exception):
     """An enumeration request would cost more than the budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class RealizationClass:
+class RealizationClass(Record):
     """All inequivalent canonical compositions realizing one interval vector.
 
     Holds the enumeration's raw data: the modulus `n`, the interval-class
@@ -60,9 +58,13 @@ class RealizationClass:
     constructors on every access, so counting classes builds none.
     """
 
-    n: int
-    counts: bytes | tuple[int, ...]
-    parts: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "counts", "parts")
+
+    def __init__(self, n: int, counts: bytes | tuple[int, ...], parts: tuple[tuple[int, ...], ...]):
+        # Each field set by name, not by `_set`'s loop: this runs once per class of a table.
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def mu(self) -> IntervalVector:
@@ -80,25 +82,21 @@ class RealizationClass:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(Record):
     """One table row: class/vector counts for a single (n, k)."""
 
-    n: int
-    k: int
-    ti_classes: int
-    multisets: int
-    nonreconstructible: int
+    __slots__ = ("n", "k", "ti_classes", "multisets", "nonreconstructible")
+
+    def __init__(self, n: int, k: int, ti_classes: int, multisets: int, nonreconstructible: int):
+        self._set(n, k, ti_classes, multisets, nonreconstructible)
 
     @classmethod
     def of(cls, n: int, k: int, table: list[RealizationClass]) -> SummaryRow:
         """The row of the realization table of (n, k)."""
+        sizes = [len(rc.parts) for rc in table]
         return cls(
-            n=n,
-            k=k,
-            ti_classes=sum(rc.realization_number for rc in table),
-            multisets=len(table),
-            nonreconstructible=sum(1 for rc in table if rc.realization_number >= 2),
+            n=n, k=k, ti_classes=sum(sizes), multisets=len(sizes),
+            nonreconstructible=sum(1 for r in sizes if r >= 2),
         )
 
 

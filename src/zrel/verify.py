@@ -12,10 +12,9 @@ count check, becomes one failing result for its suite instead of an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .construct import k4_pair, scale_zpair, zpairs_of
-from .core import PitchClassSet, check_int, dft_magnitudes, set_from_composition
+from .core import PitchClassSet, Record, check_int, dft_magnitudes, set_from_composition
 from .dihedral import ti_equivalent
 from .enumeration import SummaryRow, realization_table, summary, z_groups
 
@@ -43,11 +42,11 @@ Z12_K4_WITNESS = ((1, 2, 4, 5), (1, 3, 2, 6))
 Z19_WITNESS = ((0, 1, 2, 3, 6, 10), (0, 1, 2, 4, 5, 11))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set(name, passed, detail)
 
 
 def _table_rows(label: str, rows: list[SummaryRow], golden: dict) -> tuple[dict, list]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -16,7 +18,9 @@ from zrel.core import (
     set_from_composition,
     steps,
 )
-from zrel.enumeration import realization_table
+from zrel.construct import ZPair, k4_pair
+from zrel.enumeration import RealizationClass, SummaryRow, realization_table
+from zrel.verify import CheckResult
 
 
 def brute_counts(elements, n):
@@ -89,6 +93,84 @@ def test_interval_vector_shape():
         IntervalVector(12, (1, 1, 1))
     with pytest.raises(ValueError):
         IntervalVector(12, (1, -1, 0, 0, 0, 0))
+
+
+_A, _B = PitchClassSet(12, (0, 1, 3, 7)), PitchClassSet(12, (0, 1, 4, 6))
+_MU = IntervalVector(12, (1, 1, 1, 1, 1, 1))
+# (value, its fields by name, its repr), one for each of the seven value types.
+VALUES = [
+    (_A, {"n": 12, "elements": (0, 1, 3, 7)}, "PitchClassSet(n=12, elements=(0, 1, 3, 7))"),
+    (
+        Composition(12, (1, 2, 9)),
+        {"n": 12, "parts": (1, 2, 9)},
+        "Composition(n=12, parts=(1, 2, 9))",
+    ),
+    (_MU, {"n": 12, "counts": (1,) * 6}, "IntervalVector(n=12, counts=(1, 1, 1, 1, 1, 1))"),
+    (
+        RealizationClass(12, b"\x01" * 6, ((1, 2, 4, 5), (1, 3, 2, 6))),
+        {"n": 12, "counts": b"\x01" * 6, "parts": ((1, 2, 4, 5), (1, 3, 2, 6))},
+        r"RealizationClass(n=12, counts=b'\x01\x01\x01\x01\x01\x01', "
+        "parts=((1, 2, 4, 5), (1, 3, 2, 6)))",
+    ),
+    (
+        SummaryRow.of(12, 4, realization_table(12, 4)),
+        {"n": 12, "k": 4, "ti_classes": 29, "multisets": 28, "nonreconstructible": 1},
+        "SummaryRow(n=12, k=4, ti_classes=29, multisets=28, nonreconstructible=1)",
+    ),
+    (
+        ZPair(_A, _B, _MU),
+        {"set1": _A, "set2": _B, "mu": _MU, "scale": 1, "base": None},
+        "ZPair(set1=PitchClassSet(n=12, elements=(0, 1, 3, 7)), "
+        "set2=PitchClassSet(n=12, elements=(0, 1, 4, 6)), "
+        "mu=IntervalVector(n=12, counts=(1, 1, 1, 1, 1, 1)), scale=1, base=None)",
+    ),
+    (
+        CheckResult("z12 palindrome k <-> 12-k", True),
+        {"name": "z12 palindrome k <-> 12-k", "passed": True, "detail": ""},
+        "CheckResult(name='z12 palindrome k <-> 12-k', passed=True, detail='')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("value", "fields", "text"), VALUES, ids=[type(v[0]).__name__ for v in VALUES]
+)
+def test_value_types_are_immutable_records_of_their_fields(value, fields, text):
+    assert repr(value) == text
+    assert {name: getattr(value, name) for name in fields} == fields
+    assert hash(value) == hash(tuple(fields.values()))
+    assert type(value)(**fields) == value == type(value)(*fields.values())
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert {name: getattr(value, name) for name in fields} == fields
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
+
+
+def test_value_types_order_and_compare_only_within_one_type():
+    comps = [Composition(12, (3, 9)), Composition(12, (1, 2, 9)), Composition(8, (8,))]
+    want = [Composition(8, (8,)), Composition(12, (1, 2, 9)), Composition(12, (3, 9))]
+    assert sorted(comps) == want and sorted(comps, reverse=True) == want[::-1]
+    assert Composition(12, (1, 2, 9)) <= Composition(12, (1, 2, 9)) < Composition(12, (1, 11))
+    comp, pcs = Composition(12, (1, 2, 9)), PitchClassSet(12, (1, 2, 9))
+    assert (comp.n, comp.parts) == (pcs.n, pcs.elements)
+    assert comp != pcs and not comp == pcs and len({comp, pcs}) == 2
+    with pytest.raises(TypeError):
+        comp < pcs
+
+
+def test_value_types_take_keywords_and_defaults():
+    pair = ZPair(set1=_A, set2=_B, mu=_MU)
+    assert (pair.scale, pair.base, pair.is_primitive) == (1, None, True)
+    derived = k4_pair(16, 2)
+    assert ZPair(derived.set1, derived.set2, derived.mu, scale=2, base=derived.base) == derived
+    assert CheckResult("x", False).detail == ""
+    assert CheckResult("x", False, detail="y").detail == "y"
+    row = SummaryRow(n=12, k=4, ti_classes=29, multisets=28, nonreconstructible=1)
+    assert SummaryRow.of(12, 4, realization_table(12, 4)) == row
 
 
 # ── steps / set_from_composition ──────────────────────────────────────────

@@ -497,11 +497,16 @@ def test_commands_that_start_no_pool_do_not_import_the_pool_machinery():
             ["table", "12", "--kmin", "4", "--kmax", "4", "--threads", "1"],
             ["k4", "8", "1", "--threads", "2"],
             ["classify", "12", "0,1,3,7", "0,1,4,6"],
+            ["zpairs", "12", "6", "--format", "csv"],
+            ["verify", "z12"],
         ]:
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert cli.main(argv) == 0 and out.getvalue(), argv
         assert not hasattr(enumeration, "no_such_name")  # getattr(..., None) gives None
         loaded = [m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")]
+        assert loaded == [], loaded
+        # The value types are not dataclasses, so start-up compiles no code for them.
+        loaded = [m for m in ("dataclasses", "inspect", "ast") if m in sys.modules]
         assert loaded == [], loaded
         import concurrent.futures
         assert enumeration.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
