@@ -66,24 +66,23 @@ def _classification_row(pair: ZPair) -> dict:
 
 
 def _group_row(n: int, k: int, index: int, rc: RealizationClass) -> dict:
+    comps = rc.realizations
+    sets = [set_from_composition(comp) for comp in comps]
     members = [
-        {
-            "composition": list(comp.parts),
-            "set": list(set_from_composition(comp).elements),
-            "step_gcd": math.gcd(*comp.parts),
-        }
-        for comp in rc.realizations
+        {"composition": list(c.parts), "set": list(s.elements), "step_gcd": math.gcd(*c.parts)}
+        for c, s in zip(comps, sets)
     ]
     pairs = [
         {"members": [i, j], "classification": _classification_row(pair)}
-        for i, j, pair in group_zpairs(rc)
+        for i, j, pair in group_zpairs(sets)
     ]
+    mu = rc.mu
     return {
         "index": index,
         "n": n,
         "k": k,
-        "mu_counts": list(rc.mu.counts),
-        "mu_multiset": list(rc.mu.as_multiset()),
+        "mu_counts": list(mu.counts),
+        "mu_multiset": list(mu.as_multiset()),
         "members": members,
         "pairs": pairs,
     }

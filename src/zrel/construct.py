@@ -11,6 +11,7 @@ primitive/derived status of any Z-pair via the gcd of its steps.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from itertools import combinations
 
 from .core import (
@@ -26,7 +27,7 @@ from .core import (
     steps,
 )
 from .dihedral import ti_equivalent
-from .enumeration import RealizationClass, z_groups
+from .enumeration import z_groups
 
 
 class ZPair(Record):
@@ -131,14 +132,14 @@ def classify_pair(set1: PitchClassSet, set2: PitchClassSet) -> ZPair:
     pairwise scan, so the caller's pair is refused, by name, before any base
     is built.
     """
-    c1 = steps(set1)
-    c2 = steps(set2)
+    c1, c2 = steps(set1), steps(set2)
     pair = ZPair(set1, set2, interval_multiset(c1))
     g = math.gcd(*c1.parts, *c2.parts)
     if g == 1:
         return pair
     down = [Composition(c.n // g, tuple(p // g for p in c.parts)) for c in (c1, c2)]
-    base = classify_pair(*map(set_from_composition, down))
+    # Steps divided by their full gcd have gcd 1: the base is primitive by construction.
+    base = ZPair(*map(set_from_composition, down), interval_multiset(down[0]))
     return ZPair(set1, set2, pair.mu, g, base)
 
 
@@ -160,15 +161,15 @@ def k4_pair(n: int, a: int) -> ZPair:
     return classify_pair(p1, p2)
 
 
-def group_zpairs(group: RealizationClass) -> list[tuple[int, int, ZPair]]:
-    """(i, j, classified pair) for each pair i < j of realizations, in combinations order."""
-    pairs = combinations(enumerate(map(set_from_composition, group.realizations)), 2)
-    return [(i, j, classify_pair(s1, s2)) for (i, s1), (j, s2) in pairs]
+def group_zpairs(sets: Iterable[PitchClassSet]) -> list[tuple[int, int, ZPair]]:
+    """(i, j, classified pair) for each pair i < j of the member sets, in combinations order."""
+    return [(i, j, classify_pair(s1, s2)) for (i, s1), (j, s2) in combinations(enumerate(sets), 2)]
 
 
 def zpairs_of(m: int, k: int, workers: int = 1) -> list[ZPair]:
     """Every Z-pair found by enumeration at (m, k), classified, in enumeration order."""
-    return [pair for group in z_groups(m, k, workers) for _, _, pair in group_zpairs(group)]
+    groups = (map(set_from_composition, g.realizations) for g in z_groups(m, k, workers))
+    return [pair for sets in groups for _, _, pair in group_zpairs(sets)]
 
 
 def inherit(n: int, m: int, k: int, workers: int = 1) -> list[ZPair]:

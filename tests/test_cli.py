@@ -170,6 +170,21 @@ def test_zpairs_rows_number_every_pair_of_a_larger_group(run_cli):
             assert pair["classification"] == want
 
 
+def test_zpairs_reads_each_group_once(run_cli, monkeypatch):
+    reads = {"realizations": 0, "mu": 0}
+    for name in reads:
+        prop = getattr(enumeration.RealizationClass, name)
+
+        def counted(self, _name=name, _get=prop.fget):
+            reads[_name] += 1
+            return _get(self)
+
+        monkeypatch.setattr(enumeration.RealizationClass, name, property(counted))
+    code, out, _ = run_cli("zpairs", 24, 5, "--threads", 1)
+    assert code == 0 and out.startswith("n=24 k=5: 31 Z-group(s)\n")
+    assert reads == {"realizations": 31, "mu": 31}
+
+
 def test_zpairs_text_shows_sets(run_cli):
     code, out, _ = run_cli("zpairs", 12, 4, "--threads", 1)
     assert code == 0
@@ -541,6 +556,7 @@ GOLDEN = Path(__file__).parent / "golden"
 SNAPSHOTS = {
     "table-12": ("table", 12, "--kmin", 3, "--kmax", 9),
     "zpairs-12-4": ("zpairs", 12, 4),
+    "zpairs-24-5": ("zpairs", 24, 5),
     "kmin-10": ("kmin", 10),
     "kmin-10-kmax-4": ("kmin", 10, "--kmax", 4),
     "scale-13-2-4": ("scale", 13, 2, 4),

@@ -394,6 +394,14 @@ def test_zpairs_of_lists_each_group_pair_once_in_order():
         assert inherit(n, n, k) == pairs
 
 
+def test_derived_pair_base_is_primitive_and_equals_its_classification():
+    derived = [p for k in range(5, 8) for p in zpairs_of(24, k) if not p.is_primitive]
+    assert derived
+    for pair in derived:
+        assert pair.base.is_primitive
+        assert pair.base == classify_pair(pair.base.set1, pair.base.set2)
+
+
 def test_inherit_rejects_non_divisor():
     with pytest.raises(ValueError):
         inherit(20, 7, 4)
@@ -406,16 +414,6 @@ def test_inherit_refuses_a_modulus_above_the_bound():
 
 
 # ── k_min consequences of the constructions ───────────────────────────────
-
-
-def test_k_min_spot_checks():
-    from zrel.enumeration import k_min_search
-
-    for n in (8, 12, 16, 20, 24, 26):
-        assert k_min_search(n)[0] == 4
-    for n in (10, 14, 18, 22, 30):
-        assert k_min_search(n, k_max=4)[0] is None
-    assert k_min_search(19)[0] == 6
 
 
 def test_k4_primitivity_criterion_sweep():

@@ -285,13 +285,13 @@ def test_interval_multiset_brute_examples():
 
 
 @st.composite
-def pitch_class_sets(draw):
+def element_sets(draw):
     n = draw(st.integers(3, 64))
     elements = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))
     return n, elements
 
 
-@given(pitch_class_sets())
+@given(element_sets())
 @example((64, {0, 32}))
 @example((12, {0, 3, 6, 9}))
 @example((3, {0, 1, 2}))
