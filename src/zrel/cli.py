@@ -307,11 +307,11 @@ def _json(value, indent: str) -> str:
         return json.dumps(value)
     inner = indent + "  "
     is_dict = isinstance(value, dict)
+    if is_dict and not all(map(str.__instancecheck__, value)):
+        raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
     if all(map(_SCALARS.__contains__, map(type, value.values() if is_dict else value))):
         body = _flat_encoder(inner)(value)[1:-1]
     elif is_dict:
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
         body = ("," + inner).join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
     else:
         body = ("," + inner).join(_json(v, inner) for v in value)

@@ -14,16 +14,19 @@ interval vector, packed as `bytes` while k <= 255.  A class whose vector is
 shared by two or more inequivalent compositions is a Z-group: its
 realizations are pairwise Z-related.
 
-The work is partitioned by first part, so the map phase shares nothing
-and can run across worker processes.  No two tasks share an interval
-vector: a canonical composition starts with its smallest part, which is
-also the smallest interval class its vector counts, so each class comes
-whole from one task.  Each task visits its compositions in lexicographic
-order, so every class is already sorted; the reduction merges the task
-results and sorts only the vector keys, and the output is identical for
-any worker count.  The table keeps the kernel's raw keys and tuples: `Composition` and
-`IntervalVector` objects are built, and validated, only when a caller reads
-them.
+The work is partitioned by first part, so the map phase shares nothing and
+can run across worker processes.  A canonical composition starts with its
+least part s1.  Each of its intervals spans whole parts either way round
+the circle, so it is at least s1, and s1 itself occurs: the vector counts
+nothing below interval class s1 and something at s1.  Hence no two tasks
+share a vector, and a larger first part has more leading zero counts, so
+its keys sort first, as `bytes` and as tuples.  Each task visits its
+compositions in lexicographic order, so every class is already sorted; the
+reduction sorts each task's keys on their own, clears its dict before
+building its classes, and concatenates the tasks, largest first part first.
+The output is identical for any worker count.  The table keeps the kernel's
+raw keys and tuples: `Composition` and `IntervalVector` objects are built,
+and validated, only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, repeat
 
 from .core import Composition, IntervalVector, _interval_counts, check_int, check_modulus
 from .core import Record, _ic_index, _key_type
@@ -269,18 +272,29 @@ def realization_table(n: int, k: int, workers: int = 1) -> list[RealizationClass
         # entries are a and b.
         heads = combinations_with_replacement(range(1, n // 2 + 1), k - 1)
         parts = [(*h, n - sum(h)) for h in heads if n - sum(h) >= max(h, default=0)]
-        groups = {_interval_counts(p, n): (p,) for p in parts}
-    else:  # The tasks merge into the first, largest one, and share no key.
-        groups, *others = _run_tasks([(n, k, s1) for s1 in range(1, n // k + 1)], workers)
-        for task_groups in others:
-            groups.update(task_groups)
-    found, expected = sum(map(len, groups.values())), _bracelet_count(n, k)
+        results = [{_interval_counts(p, n): (p,) for p in parts}]
+    else:
+        results = _run_tasks([(n, k, s1) for s1 in range(1, n // k + 1)], workers)
+    table: list[RealizationClass] = []
+    found, expected = 0, _bracelet_count(n, k)
+    while results:  # The largest first part first: its keys sort first.
+        groups = results.pop()
+        keys = sorted(groups)
+        values = [groups[key] for key in keys]
+        groups.clear()  # Frees the dict's table before any class is built.
+        if table and table[-1].counts >= keys[0]:
+            raise RuntimeError(
+                f"enumeration of n={n}, k={k}: two first-part tasks share or "
+                f"misorder interval vector {list(keys[0])}"
+            )
+        found += sum(map(len, values))
+        table.extend(map(RealizationClass, repeat(n), keys, values))
     if found != expected:
         raise RuntimeError(
             f"enumeration of n={n}, k={k} kept {found} classes, "
             f"but the closed-form bracelet count is {expected}"
         )
-    return [RealizationClass(n, key, groups[key]) for key in sorted(groups)]
+    return table
 
 
 def z_groups(n: int, k: int, workers: int = 1) -> list[RealizationClass]:

@@ -518,8 +518,9 @@ def test_json_render_matches_the_stdlib_on_every_value_kind():
         "mixed": [1, [2], {"k": [None]}],
     }
     assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
-    with pytest.raises(TypeError):
-        cli.render({1: [2]}, "json")
+    for bad in ({1: [2]}, {1: 2}, {"a": {1: None}}):  # one key rule for every dict
+        with pytest.raises(TypeError):
+            cli.render(bad, "json")
 
 
 def test_json_render_peak_memory_stays_near_the_output_size():

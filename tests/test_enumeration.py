@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import combinations, product
@@ -248,6 +250,47 @@ def test_table_conserves_classes_and_sorts():
             assert list(rc.realizations) == sorted(rc.realizations)
             for comp in rc.realizations:
                 assert interval_multiset(comp) == rc.mu
+
+
+def test_table_concatenates_the_tasks_in_sorted_order():
+    # Built task by task, largest first part first, the table equals the
+    # sorted merge of every task's dict, and no two tasks share a key.
+    for n in range(4, 21):
+        for k in range(4, n + 1):
+            tasks = [enumeration._groups_for_first_part((n, k, s1)) for s1 in range(1, n // k + 1)]
+            merged = {key: parts for groups in tasks for key, parts in groups.items()}
+            assert len(merged) == sum(map(len, tasks)), (n, k)
+            counts = [rc.counts for rc in realization_table(n, k)]
+            assert all(a < b for a, b in zip(counts, counts[1:])), (n, k)
+            assert counts == sorted(merged), (n, k)
+
+
+@pytest.mark.parametrize(
+    "results",
+    [
+        [{b"\x00\x02": ((1, 2),)}, {b"\x00\x02": ((2, 1),)}],  # one key in two tasks
+        [{b"\x00\x01": ((1, 2),)}, {b"\x00\x02": ((2, 1),)}],  # larger s1, larger key
+    ],
+)
+def test_table_refuses_tasks_that_share_or_misorder_a_key(monkeypatch, results):
+    monkeypatch.setattr(enumeration, "_run_tasks", lambda tasks, workers: results)
+    with pytest.raises(RuntimeError, match="share or misorder interval vector"):
+        realization_table(12, 4)
+
+
+def test_table_peak_memory_stays_near_the_table_it_returns():
+    # Each task's dict is cleared before its classes are built; a merged
+    # dict kept alive through the build peaked at 1.23x the table.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = realization_table(28, 8)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 51_159
+    assert peak <= 1.12 * held
 
 
 def test_table_z12_shape():
